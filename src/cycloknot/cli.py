@@ -70,6 +70,11 @@ def _parse_knot_arg(text: str) -> KnotSpec:
         raise UsageError(str(exc)) from None
 
 
+def _check_root_order(p: int | None) -> None:
+    if p is not None and p < 1:
+        raise UsageError(f"--p must be >= 1, got {p}")
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, LaurentPoly):
         return v.render_text()
@@ -132,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coeffs(args) -> int:
     knot = _parse_knot_arg(args.knot)
     ns = _parse_range(args.n, minimum=0, what="--n")
+    _check_root_order(args.p)
     rows = []
     for n in ns:
         if args.p is not None:
@@ -171,8 +177,7 @@ def _cmd_jones(args) -> int:
 
 def _cmd_ado(args) -> int:
     knot = _parse_knot_arg(args.knot)
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
+    _check_root_order(args.p)
     result = ado(knot, args.p)
     if args.format == "json":
         obj = {
@@ -261,6 +266,7 @@ def _cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from: all, " + ", ".join(SUITES)
         )
     knot = _parse_knot_arg(args.knot) if args.knot is not None else None
+    _check_root_order(args.p)
     failures = []
     suites_out = []
     checks = passed = informational = 0

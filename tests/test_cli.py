@@ -115,6 +115,28 @@ class TestUsageErrors:
         code, _, err = run_capture(capsys, ["verify", "--suite", "nope"])
         assert code == 2 and "unknown suite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--knot", "dt:1,1", "--p", "0"],
+            ["coeffs", "--knot", "dt:1,1", "--p", "-3"],
+            ["coeffs", "--knot", "dt:1,1", "--n", "-1"],
+            ["jones", "--knot", "dt:1,1", "--N", "0"],
+            ["jones", "--knot", "dt:0,1", "--N", "1"],
+            ["ado", "--knot", "dt:1,1", "--p", "0"],
+            ["ado", "--knot", "t2:0", "--p", "3"],
+            ["wrt", "--knot", "dt:1,1", "--p", "1"],
+            ["cgp", "--knot", "dt:1,1", "--p", "-5"],
+            ["cgp", "--knot", "!t2:2", "--p", "3"],
+            ["verify", "--suite", "thm2", "--p", "0"],
+            ["verify", "--suite", "thm2", "--knot", "zz"],
+        ],
+    )
+    def test_bad_input_is_one_line_exit_2(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_argparse_errors_exit_2(self, capsys):
         assert cli.run(["frobnicate"]) == 2
         capsys.readouterr()

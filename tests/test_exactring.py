@@ -11,6 +11,7 @@ from cycloknot.exactring import (
     CycNumber,
     InexactDivisionError,
     LaurentPoly,
+    _kronecker_mul,
     cyclotomic_coeffs,
     cyclotomic_polynomial,
     euler_phi,
@@ -168,6 +169,65 @@ class TestCycProperties:
         assert (a.embed(m) == b.embed(m)) == (a == b)
 
 
+class TestCycDivisionAndHash:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 2, 3, 4, 6, 15, 30, 728]), st.data())
+    def test_unit_division_round_trip(self, m, data):
+        # at orders 1 and 2 the unit is +-1 and its exponent is ambiguous;
+        # at odd orders -zeta**k is not a power of zeta
+        k = data.draw(st.integers(-2 * m, 2 * m))
+        sign = data.draw(st.sampled_from([1, -1]))
+        powers = data.draw(st.dictionaries(st.integers(0, m - 1), small_ints, max_size=6))
+        a = CycNumber.from_powers(m, powers)
+        u = sign * zeta(m, k)
+        assert (a * u).exact_div(u) == a
+        assert u.inverse() == sign * zeta(m, -k)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_exact_div_round_trip(self, m, data):
+        a = data.draw(cyc_numbers(m))
+        b = data.draw(cyc_numbers(m))
+        if b.is_zero():
+            return
+        assert (a * b).exact_div(b) == a
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_non_unit_exact_quotient(self, p):
+        # {1}^2 = (q^(1/2) - q^(-1/2))^2 at q = zeta_p lives in Z[zeta_2p]
+        brace_sq = (zeta(2 * p) - zeta(2 * p, -1)) ** 2
+        assert CycNumber._unit_exponent(brace_sq) is None
+        b = zeta(2 * p, 3) - 2 * zeta(2 * p) + 5
+        assert (b * brace_sq).exact_div(brace_sq) == b
+        with pytest.raises(InexactDivisionError):
+            (b * brace_sq + 1).exact_div(brace_sq)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_one_minus_zeta_is_not_a_unit(self, p):
+        with pytest.raises(InexactDivisionError):
+            (1 - zeta(p)).inverse()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.data())
+    def test_equal_values_hash_alike_across_embeddings(self, d, k, data):
+        a = data.draw(cyc_numbers(d))
+        b = a.embed(d * k)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert b._at_conductor() == a
+        if a.is_integer():
+            assert hash(b) == hash(a.as_int())
+
+    def test_hash_examples(self):
+        assert len({zeta(3), zeta(3).embed(6), zeta(6, 2), zeta(12, 4)}) == 1
+        assert hash(zeta(6, 3)) == hash(-1)
+        assert hash(zeta(10, 5) + 3) == hash(2)
+        assert len({zeta(3), zeta(6)}) == 2
+        conductors = {zeta(15): 15, zeta(15, 5): 3, zeta(12, 4): 3, zeta(10): 5, zeta(9, 3): 3}
+        for value, order in conductors.items():
+            assert value._at_conductor().order == order
+
+
 def xq_polys(order=None):
     exps = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
     return st.dictionaries(exps, small_ints, max_size=5).map(
@@ -295,6 +355,66 @@ class TestLaurentProperties:
         assert exact_div(f * g, g) == f
 
 
+def schoolbook_mul(f, g):
+    """Independent oracle for LaurentPoly products: the plain term-pair loop."""
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return LaurentPoly.make(f.variables, acc)
+
+
+# values at the edges of a packed digit's byte width, and far past 4300 digits
+byte_edges = st.sampled_from([s * (2**k + d) for k in (7, 8, 63, 64) for d in (-1, 0) for s in (1, -1)])
+big_ints = st.one_of(small_ints, byte_edges, st.integers(-(2**8000), 2**8000))
+
+
+@st.composite
+def int_polys(draw, nvars):
+    # doubled exponents: odd values are half-integer exponents
+    exps = st.tuples(*[st.integers(-9, 9)] * nvars)
+    d = draw(st.dictionaries(exps, big_ints, max_size=6))
+    return LaurentPoly.make(("x", "q")[:nvars], d)
+
+
+class TestPackedProduct:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(int_polys(n), int_polys(n))))
+    def test_matches_schoolbook_oracle(self, pair):
+        f, g = pair
+        expected = schoolbook_mul(f, g)
+        assert f * g == expected
+        packed = _kronecker_mul(f.terms, g.terms)
+        if packed is not None:
+            assert packed == expected.terms
+
+    def test_dense_products_are_packed(self):
+        f = LaurentPoly.univar("q", {e: e - 3 for e in range(-5, 20, 2)})
+        g = LaurentPoly.make(("x", "q"), {(a, b): 2**8000 + a - b for a in range(3) for b in range(-3, 4)})
+        for h in (f, g):
+            assert _kronecker_mul(h.terms, h.terms) == schoolbook_mul(h, h).terms
+
+    @pytest.mark.parametrize("c", [64, 100, 127, 2**62, 2**63 - 1, -(2**62)])
+    def test_coefficients_at_the_digit_bound(self, c):
+        # (c + c*x) * (1 + x) has the middle coefficient 2c, the bound itself
+        f = LaurentPoly.univar("x", {0: c, 2: c})
+        g = LaurentPoly.univar("x", {0: 1, 2: 1})
+        assert f * g == LaurentPoly.univar("x", {0: c, 2: 2 * c, 4: c})
+
+    def test_products_past_the_decimal_digit_limit(self):
+        f = LaurentPoly.univar("x", {-3: 2**8000 - 1, 1: -(2**8000), 4: 7})
+        prod = f * f
+        assert max(abs(c) for _, c in prod.terms).bit_length() > 15000
+        assert prod == schoolbook_mul(f, f)
+
+    def test_wide_gaps_multiply_term_by_term(self):
+        f = LaurentPoly.univar("x", {2 * 10**9: 1, 0: 1})
+        g = LaurentPoly.univar("x", {2: 1, 0: 1})
+        assert _kronecker_mul(f.terms, g.terms) is None
+        assert f * g == LaurentPoly.univar("x", {2 * 10**9 + 2: 1, 2 * 10**9: 1, 2: 1, 0: 1})
+
+
 class TestEvalAtRoot:
     def test_examples(self):
         f = LaurentPoly.univar("q", {2: 1, -2: 1})
@@ -314,6 +434,14 @@ class TestEvalAtRoot:
     def test_declared_higher_order(self):
         f = LaurentPoly.univar("q", {2: 1})
         assert eval_at_root(f, 3, 1, order=12) == zeta(12, 4)
+
+    def test_cyclotomic_coefficients(self):
+        f = LaurentPoly.univar("q", {2: zeta(3) + 2, -1: zeta(3, 2)}).with_order(3)
+        # q = zeta_4 and q^(1/2) = zeta_8, with coefficients from Z[zeta_3]
+        expected = (zeta(3) + 2).embed(24) * zeta(24, 6) + zeta(3, 2).embed(24) * zeta(24, -3)
+        assert eval_at_root(f, 4, 1, order=24) == expected
+        with pytest.raises(ValueError):
+            eval_at_root(f, 4, 1, order=8)
 
 
 class TestExactDivErrors:
