@@ -283,6 +283,13 @@ def _cmd_verify(args) -> int:
                 passed += 1
             else:
                 failures.append(r)
+    if not checks:
+        chosen = " ".join(
+            f"--{flag} {value}"
+            for flag, value in (("suite", args.suite), ("knot", args.knot), ("p", args.p))
+            if value is not None
+        )
+        raise UsageError(f"{chosen} selects no checks: it matches no point of the suite grids")
     if args.format == "json":
         obj = {
             "command": "verify",

@@ -10,6 +10,7 @@ tags naming the normalizing factors instead of performing any division.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -25,18 +26,14 @@ from .knots import (
     KnotSpec,
     Mirror,
     TorusTwoStrand,
+    _chain_transfer,
     a_at_root,
     alexander,
-    chains_bounded,
     habiro_c,
     is_double_twist_family,
     knot_str,
 )
-from .qtools import brace, qbinomial_at_root, sigma_at_root
-
-
-def _q(e2: int, c: int = 1) -> LaurentPoly:
-    return LaurentPoly.univar("q", {e2: c})
+from .qtools import _q, brace, qbinomial, qbinomial_at_root, sigma_at_root
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +65,21 @@ def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
     prod_{i<t} q^(k_i(k_i+1)) x^(2 k_i) [k_{i+1}; k_i]  at x = q^-N;
     the leading Pochhammer vanishes for k_t >= N, so the sum is finite.
     """
-    from .qtools import qbinomial
-
     if t < 1 or N < 1:
         raise ValueError(f"need t >= 1 and N >= 1, got t={t}, N={N}")
     poch = [_q(0)]
     for i in range(1, N):
         poch.append(poch[-1] * (_q(0) - _q(2 * (i - N))))
+
+    def step(i, k):
+        w = _q(2 * k * (k + 1) - 4 * N * k)
+        for k2 in range(k, N):
+            yield k2, w * qbinomial(k2, k)
+
+    sums = _chain_transfer(range(N), _q(0), t - 1, step)
     total = LaurentPoly.zero(("q",))
-    for chain in chains_bounded(t, N - 1):
-        kt = chain[-1]
-        term = poch[kt] * _q(-2 * N * kt)
-        for i in range(t - 1):
-            ki, kj = chain[i], chain[i + 1]
-            term = term * _q(2 * ki * (ki + 1) - 4 * N * ki) * qbinomial(kj, ki)
-        total = total + term
+    for kt, s in sums.items():
+        total = total + s * poch[kt] * _q(-2 * N * kt)
     return _q(2 * t * (1 - N)) * total
 
 
@@ -147,16 +144,26 @@ def _ado_torus(t: int, p: int) -> LaurentPoly:
     for i in range(1, p):
         poch.append(poch[-1] * LaurentPoly.univar("x", {0: one, 2: -zeta(p, i)}))
     total = LaurentPoly.zero(("x",), p)
-    for chain in chains_bounded(t, p - 1):
-        kt = chain[-1]
-        term = poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
-        for i in range(t - 1):
-            ki, kj = chain[i], chain[i + 1]
-            term = term * LaurentPoly.univar(
-                "x", {4 * ki: zeta(p, ki * (ki + 1)) * qbinomial_at_root(kj, ki, p)}
-            )
-        total = total + term
+    for kt, s in _torus_chain_sums(t, p, p - 1).items():
+        total = total + s * poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
     return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
+
+
+def _torus_chain_sums(t: int, p: int, bound: int) -> dict[int, LaurentPoly]:
+    """The chain sums of the torus ADO formula, by top value k <= bound:
+
+    {k: sum_{k = k_t >= ... >= k_1 >= 0} prod_{i<t} x^(2k_i) zeta_p^(k_i(k_i+1)) [k_{i+1}; k_i]},
+    with the q-binomials taken at e_p.
+    """
+
+    def step(i, k):
+        for k2 in range(k, bound + 1):
+            yield k2, LaurentPoly.univar(
+                "x", {4 * k: zeta(p, k * (k + 1)) * qbinomial_at_root(k2, k, p)}
+            )
+
+    one = LaurentPoly.univar("x", {0: CycNumber.from_int(p, 1)})
+    return _chain_transfer(range(bound + 1), one, t - 1, step)
 
 
 def chi_st(s: int, t: int, n: int) -> int:
@@ -297,8 +304,6 @@ class CgpResult:
         algebraic integer; InexactDivisionError is raised when it is not, and
         the numerator/denominator can then be inspected directly.
         """
-        import math
-
         order = math.lcm(2 * self.p, u_value.order)
         u = u_value.embed(order)
         num = self.numerator.with_order(order).evaluate({"u": u})

@@ -9,22 +9,24 @@ cyclotomic expansion of the colored Jones polynomial,
               = sum_n a_n(K; q) sigma_n(x, q),
 
 with a_n = (-1)^n q^(n(n+1)/2) C_n.  They are computed from the known
-nondecreasing-chain multi-sum formulas for these families; the evaluation
-inversion habiro_from_jones recovers C_n from colored Jones values and serves
-as an independent cross-check.
+nondecreasing-chain multi-sum formulas for these families.  Each multi-sum is
+evaluated by one transfer kernel, _chain_transfer, which carries the partial
+sums over all chains ending in a given state from one link to the next, so
+its cost is polynomial in the chain length rather than one product per chain.
+The evaluation inversion habiro_from_jones recovers C_n from colored Jones
+values and serves as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterable, Union
 
-from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div
-from .qtools import qbinomial, qpochhammer
+from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
+from .qtools import _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -142,59 +144,52 @@ def is_double_twist_family(knot: KnotSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# chain enumeration
+# chain multi-sums
 # ---------------------------------------------------------------------------
 
 
-def chains_fixed_top(length: int, top: int, low: int = 0) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing chains (k_1, ..., k_length) with k_length == top, k_1 >= low.
+def _chain_transfer(first: Iterable, one, links: int, step: Callable[[int, object], Iterable]) -> dict:
+    """Transfer sum along a chain: S_{i+1}(s') = sum_s w_i(s, s') S_i(s).
 
-    Enumerated lexicographically; the sums below do not depend on the order.
+    S_1 is the empty product, one, on every state of first; step(i, s)
+    yields the pairs (s', w_i(s, s')) for the links i = 1..links.  Returns
+    {s: S_{links+1}(s)}.  A sum over nondecreasing chains k_1 <= ... <= k_len
+    of a product of link weights is the case links = len - 1 with state k_i,
+    or a tuple starting with k_i when a weight needs more of the chain; it
+    takes a number of products polynomial in the chain length, not one
+    product per chain.
     """
-    if length < 1 or top < low:
-        return
-    for prefix in itertools.combinations_with_replacement(range(low, top + 1), length - 1):
-        yield prefix + (top,)
+    sums = dict.fromkeys(first, one)
+    for i in range(1, links + 1):
+        nxt: dict = {}
+        for s, value in sums.items():
+            for s2, w in step(i, s):
+                term = w if i == 1 else value * w
+                nxt[s2] = nxt[s2] + term if s2 in nxt else term
+        sums = nxt
+    return sums
 
 
-def chains_bounded(length: int, bound: int, low: int = 0) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing chains (k_1, ..., k_length) with low <= k_i <= bound."""
-    if length < 1 or bound < low:
-        return
-    yield from itertools.combinations_with_replacement(range(low, bound + 1), length)
+def _fixed_top_sum(length: int, top: int, weight: Callable[[int, int], LaurentPoly]) -> LaurentPoly:
+    """sum over top = k_length >= ... >= k_1 >= 0 of prod_i weight(k_i, k_{i+1})."""
 
+    def step(i, k):
+        for k2 in (top,) if i == length - 1 else range(k, top + 1):
+            yield k2, weight(k, k2)
 
-# ---------------------------------------------------------------------------
-# Habiro coefficients
-# ---------------------------------------------------------------------------
-
-
-def _q(e2: int, c: int = 1) -> LaurentPoly:
-    return LaurentPoly.univar("q", {e2: c})
+    return _chain_transfer(range(top + 1), _q(0), length - 1, step)[top]
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_sum_plus(length: int, n: int) -> LaurentPoly:
     """sum over n = k_length >= ... >= k_1 >= 0 of prod q^(k_i(k_i+1)) [k_{i+1}; k_i]."""
-    acc = LaurentPoly.zero(("q",))
-    for chain in chains_fixed_top(length, n):
-        term = _q(0)
-        for i in range(length - 1):
-            term = term * _q(2 * chain[i] * (chain[i] + 1)) * qbinomial(chain[i + 1], chain[i])
-        acc = acc + term
-    return acc
+    return _fixed_top_sum(length, n, lambda k, k2: _q(2 * k * (k + 1)) * qbinomial(k2, k))
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_sum_minus(length: int, n: int) -> LaurentPoly:
     """Like _chain_sum_plus but with the factors q^(-k_i(k_{i+1}+1))."""
-    acc = LaurentPoly.zero(("q",))
-    for chain in chains_fixed_top(length, n):
-        term = _q(0)
-        for i in range(length - 1):
-            term = term * _q(-2 * chain[i] * (chain[i + 1] + 1)) * qbinomial(chain[i + 1], chain[i])
-        acc = acc + term
-    return acc
+    return _fixed_top_sum(length, n, lambda k, k2: _q(-2 * k * (k2 + 1)) * qbinomial(k2, k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,19 +199,26 @@ def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
     a_n = (-1)^n q^(n(n+1)/2 + n + 1 - t)
           sum_{n+1 = k_t >= ... >= k_1 >= 1}
           prod_{i=1}^{t-1} q^(k_i^2) [k_{i+1} + k_i - i + 2(k_1+...+k_{i-1}); k_{i+1} - k_i]
+
+    The q-binomial depends on the prefix sum, so the transfer state after
+    link i is (k_{i+1}, k_1 + ... + k_i).
     """
     sign = -1 if n % 2 else 1
-    pref = _q(n * (n + 1) + 2 * (n + 1 - t), sign)
-    acc = LaurentPoly.zero(("q",))
-    for chain in chains_fixed_top(t, n + 1, low=1):
-        term = _q(0)
-        prefix = 0
-        for i in range(t - 1):
-            ki, kj = chain[i], chain[i + 1]
-            term = term * _q(2 * ki * ki) * qbinomial(kj + ki - (i + 1) + 2 * prefix, kj - ki)
-            prefix += ki
-        acc = acc + term
-    return pref * acc
+    top = n + 1
+
+    def step(i, state):
+        k, prefix = state
+        for k2 in (top,) if i == t - 1 else range(k, top + 1):
+            yield (k2, prefix + k), _q(2 * k * k) * qbinomial(k2 + k - i + 2 * prefix, k2 - k)
+
+    first = [(k, 0) for k in (range(1, top + 1) if t > 1 else (top,))]
+    sums = _chain_transfer(first, _q(0), t - 1, step)
+    return _q(n * (n + 1) + 2 * (top - t), sign) * sum(sums.values(), LaurentPoly.zero(("q",)))
+
+
+# ---------------------------------------------------------------------------
+# Habiro coefficients
+# ---------------------------------------------------------------------------
 
 
 def _q_inverted(f: LaurentPoly) -> LaurentPoly:
@@ -347,9 +349,6 @@ def a_minus_one_closed(m: int) -> int:
 
 def _t25_root_sum(p: int) -> CycNumber:
     """sum_{j=floor(p/2)+1}^{p-1} zeta_p^(j^2) [j; 2j-1-p] at e_p."""
-    from .qtools import qbinomial_at_root
-    from .exactring import zeta
-
     acc = CycNumber.zero(p)
     for j in range(p // 2 + 1, p):
         acc = acc + zeta(p, j * j) * qbinomial_at_root(j, 2 * j - 1 - p, p)
@@ -358,8 +357,6 @@ def _t25_root_sum(p: int) -> CycNumber:
 
 def t25_a_p_closed(p: int) -> CycNumber:
     """a_p(e_p) for the mirror of T(2,5): -2 - sum_j zeta_p^(j^2-1) [j; 2j-1-p]."""
-    from .exactring import zeta
-
     if p < 3 or p % 2 == 0:
         raise ValueError(f"need an odd p >= 3, got {p}")
     return CycNumber.from_int(p, -2) - zeta(p, -1) * _t25_root_sum(p)
@@ -367,8 +364,6 @@ def t25_a_p_closed(p: int) -> CycNumber:
 
 def t25_a_mp_closed(m: int, p: int) -> CycNumber:
     """a_{mp}(e_p) for the mirror of T(2,5), from the binomial-reduced double sum."""
-    from .exactring import zeta
-
     if p < 3 or p % 2 == 0:
         raise ValueError(f"need an odd p >= 3, got {p}")
     if m < 0:

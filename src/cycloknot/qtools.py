@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import math
 
-from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
+from .exactring import CycNumber, LaurentPoly, eval_at_root, zeta
 
 
-def _q(e: int, c: int = 1) -> LaurentPoly:
-    """Monomial c * q**e (integral exponent)."""
-    return LaurentPoly.univar("q", {2 * e: c})
+def _q(e2: int, c: int = 1) -> LaurentPoly:
+    """Monomial c * q**(e2/2), in the doubled-exponent convention."""
+    return LaurentPoly.univar("q", {e2: c})
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,14 +47,7 @@ def qbinomial(n: int, k: int) -> LaurentPoly:
         return LaurentPoly.zero(("q",))
     if k == 0 or k == n:
         return LaurentPoly.univar("q", {0: 1})
-    return qbinomial(n - 1, k - 1) + _q(k) * qbinomial(n - 1, k)
-
-
-def qbinomial_by_division(n: int, k: int) -> LaurentPoly:
-    """[n; k]_q as [n]_q! / ([k]_q! [n-k]_q!), by exact division."""
-    if k < 0 or k > n:
-        return LaurentPoly.zero(("q",))
-    return exact_div(qfactorial(n), qfactorial(k) * qfactorial(n - k))
+    return qbinomial(n - 1, k - 1) + _q(2 * k) * qbinomial(n - 1, k)
 
 
 def qbinomial_balanced(n: int, k: int) -> LaurentPoly:
@@ -75,7 +68,7 @@ def qpochhammer(n: int) -> LaurentPoly:
         raise ValueError(f"q-Pochhammer needs n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.univar("q", {0: 1})
-    return qpochhammer(n - 1) * (_q(0) - _q(n))
+    return qpochhammer(n - 1) * (_q(0) - _q(2 * n))
 
 
 def qbinomial_at_root(n: int, k: int, p: int, root_exponent: int = 1) -> CycNumber:

@@ -16,6 +16,8 @@ from typing import Callable, Optional
 from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_root, exact_div, zeta
 from .invariants import (
     InvariantReport,
+    _report,
+    _torus_chain_sums,
     ado,
     ado_conjectural,
     cgp_from_ado,
@@ -48,11 +50,11 @@ from .knots import (
     torus_two_strand,
 )
 from .qtools import (
+    _q,
     brace,
     bracket_poly,
     pochhammer_pair,
     qbinomial,
-    qbinomial_at_root,
     qbinomial_balanced,
     sigma,
     sigma_at_root,
@@ -81,18 +83,8 @@ def _ps(p: Optional[int], default: tuple[int, ...]) -> tuple[int, ...]:
     return (p,) if p in default else ()
 
 
-def _q(e2: int, c: int = 1) -> LaurentPoly:
-    return LaurentPoly.univar("q", {e2: c})
-
-
 def _x(e2: int, c=1) -> LaurentPoly:
     return LaurentPoly.univar("x", {e2: c})
-
-
-def _report(identity, params, passed, lhs=None, rhs=None) -> InvariantReport:
-    if passed:
-        lhs = rhs = None
-    return InvariantReport(identity, params, passed, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +495,7 @@ def suite_qtools_identities(quick, knot, p, exploratory) -> list[InvariantReport
 
 def _andrews_side(t: int, p: int, top: int) -> LaurentPoly:
     """Multi-sum over chains with fixed top of prod zeta^(k(k+1)) x^(2k) [k';k]."""
-    from .knots import chains_fixed_top
-
-    total = LaurentPoly.zero(("x",), p)
-    for chain in chains_fixed_top(t, top):
-        term = LaurentPoly.univar("x", {0: CycNumber.from_int(p, 1)})
-        for i in range(t - 1):
-            ki, kj = chain[i], chain[i + 1]
-            term = term * LaurentPoly.univar(
-                "x", {4 * ki: zeta(p, ki * (ki + 1)) * qbinomial_at_root(kj, ki, p)}
-            )
-        total = total + term
-    return total
+    return _torus_chain_sums(t, p, top)[top]
 
 
 SUITES: dict[str, SuiteFn] = {

@@ -59,6 +59,8 @@ from cycloknot.qtools import (
     sigma_at_root,
 )
 
+from chain_oracle import chains_fixed_top
+
 K11 = double_twist(1, 1)
 K41 = double_twist(-1, 1)
 K21 = double_twist(2, 1)
@@ -248,8 +250,6 @@ def test_criterion_12_qtools_identities():
 
 
 def _multisum(t: int, p: int, top: int) -> LaurentPoly:
-    from cycloknot.knots import chains_fixed_top
-
     total = LaurentPoly.zero(("x",), p)
     for chain in chains_fixed_top(t, top):
         term = LaurentPoly.univar("x", {0: CycNumber.from_int(p, 1)})

@@ -137,6 +137,21 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "thm3", "--p", "9"],
+            ["verify", "--suite", "thm2", "--p", "4"],
+            ["verify", "--suite", "thm3", "--p", "9", "--format", "json"],
+            ["verify", "--suite", "torus-T", "--knot", "dt:1,1"],
+        ],
+    )
+    def test_empty_selection_exit_2(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "selects no checks" in err
+
     def test_argparse_errors_exit_2(self, capsys):
         assert cli.run(["frobnicate"]) == 2
         capsys.readouterr()

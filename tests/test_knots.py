@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cycloknot import invariants, knots, verify
 from cycloknot.exactring import CycNumber, LaurentPoly, eval_at_root, exact_div
 from cycloknot.knots import (
     DoubleTwist,
@@ -15,8 +16,6 @@ from cycloknot.knots import (
     a_minus_one_closed,
     a_one_closed,
     alexander,
-    chains_bounded,
-    chains_fixed_top,
     double_twist,
     habiro_a,
     habiro_c,
@@ -30,6 +29,9 @@ from cycloknot.knots import (
     torus_two_strand,
 )
 from cycloknot.qtools import qbinomial
+
+import chain_oracle
+from chain_oracle import chains_bounded, chains_fixed_top
 
 K11 = double_twist(1, 1)
 K41 = double_twist(-1, 1)
@@ -85,6 +87,54 @@ class TestChains:
     def test_lexicographic_order(self):
         chains = list(chains_fixed_top(3, 2))
         assert chains == sorted(chains)
+
+
+# Each library multi-sum next to its chain-by-chain oracle, on the grid it is
+# compared over: (library call, oracle call, parameter tuples).
+_TRANSFER_SITES = {
+    "chain_sum_plus": (
+        knots._chain_sum_plus,
+        chain_oracle.chain_sum_plus,
+        [(length, n) for length in range(1, 7) for n in range(5)],
+    ),
+    "chain_sum_minus": (
+        knots._chain_sum_minus,
+        chain_oracle.chain_sum_minus,
+        [(length, n) for length in range(1, 7) for n in range(5)],
+    ),
+    "mirror_torus_a": (
+        lambda t, n: habiro_a(parse_knot(f"!t2:{t}"), n),
+        chain_oracle.mirror_torus_a,
+        [(t, n) for t in range(1, 6) for n in range(7)],
+    ),
+    "torus_a": (
+        lambda t, n: habiro_a(torus_two_strand(t), n),
+        lambda t, n: chain_oracle.mirror_torus_a(t, n).substitute("q", new_var="q", exp2=-2),
+        [(4, n) for n in range(7)],
+    ),
+    "colored_jones_hyper_t2": (
+        invariants.colored_jones_hyper_t2,
+        chain_oracle.colored_jones_hyper_t2,
+        [(t, N) for t in range(1, 4) for N in range(1, 6)],
+    ),
+    "ado_torus": (
+        invariants._ado_torus,
+        chain_oracle.ado_torus,
+        [(t, p) for t in range(1, 4) for p in range(1, 8)],
+    ),
+    "andrews_side": (
+        verify._andrews_side,
+        chain_oracle.andrews_side,
+        [(t, p, top) for t in range(1, 4) for p in range(1, 6) for top in range(2 * p)],
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_TRANSFER_SITES))
+def test_transfer_kernel_matches_enumeration(site):
+    library, oracle, grid = _TRANSFER_SITES[site]
+    for args in grid:
+        assert library(*args) == oracle(*args), (site, args)
 
 
 class TestHabiroGoldens:

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloknot.exactring import LaurentPoly, eval_at_root, zeta
+from cycloknot.exactring import LaurentPoly, eval_at_root, exact_div, zeta
 from cycloknot.qtools import (
     brace,
     bracket_poly,
@@ -16,7 +16,6 @@ from cycloknot.qtools import (
     qbinomial,
     qbinomial_at_root,
     qbinomial_balanced,
-    qbinomial_by_division,
     qfactorial,
     qint,
     qpochhammer,
@@ -27,6 +26,13 @@ from cycloknot.qtools import (
 
 def qp(d):
     return LaurentPoly.univar("q", {2 * e: c for e, c in d.items()})
+
+
+def qbinomial_by_division(n: int, k: int) -> LaurentPoly:
+    """Independent oracle: [n; k]_q as [n]_q! / ([k]_q! [n-k]_q!), by exact division."""
+    if k < 0 or k > n:
+        return LaurentPoly.zero(("q",))
+    return exact_div(qfactorial(n), qfactorial(k) * qfactorial(n - k))
 
 
 def xq(d):
