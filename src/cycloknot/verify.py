@@ -1,17 +1,23 @@
 """Verification suites: every identity the library implements, run on fixed
 parameter grids and reported as InvariantReport values.
 
-Suites are registered in a fixed order and each enumerates its grid
-deterministically, so two runs produce identical report streams.  The quick
-variants shrink the grids for smoke runs; nothing is ever skipped silently.
-Reports whose params carry exploratory=True are informational and do not
-count as failures.
+Suites are registered in a fixed order.  Each is a generator of grid points
+(knot, p, run): the knot and the root order p the point is about, or None
+where it is about no knot or no order, and a callable returning the point's
+reports.  The grids are enumerated deterministically, so two runs produce
+identical report streams; the quick variants shrink them for smoke runs.
+
+run_suite is the only filter: a knot keeps exactly the points whose knot is
+that knot, and p keeps exactly the points whose order is p, so a point that
+names no knot (or no order) is dropped by that filter.  Reports whose params
+carry exploratory=True are informational and do not count as failures.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_root, exact_div, zeta
 from .invariants import (
@@ -22,7 +28,6 @@ from .invariants import (
     ado_conjectural,
     cgp_from_ado,
     cgp_torus_direct,
-    cgp_zero,
     check_torus_recurrence,
     colored_jones,
     colored_jones_hyper_t2,
@@ -68,429 +73,364 @@ FIVE_KNOTS: tuple[KnotSpec, ...] = (
     double_twist(2, 2),
 )
 
-SuiteFn = Callable[[bool, Optional[KnotSpec], Optional[int], bool], list[InvariantReport]]
+T25_MIRROR = mirror(torus_two_strand(2))
 
-
-def _knots(knot: Optional[KnotSpec], default: tuple[KnotSpec, ...]) -> tuple[KnotSpec, ...]:
-    if knot is None:
-        return default
-    return tuple(k for k in default if k == knot) or ()
-
-
-def _ps(p: Optional[int], default: tuple[int, ...]) -> tuple[int, ...]:
-    if p is None:
-        return default
-    return (p,) if p in default else ()
+# One grid point of a suite: the knot and the root order it is about (None
+# where it is about no knot, or no order), and a callable giving its reports.
+Point = tuple[Optional[KnotSpec], Optional[int], Callable[[], Iterable[InvariantReport]]]
 
 
 def _x(e2: int, c=1) -> LaurentPoly:
     return LaurentPoly.univar("x", {e2: c})
 
 
+def _agree(identity: str, params: dict, pairs: Iterable[tuple]) -> InvariantReport:
+    """Report whether every (got, expected) pair agrees, stopping at the first
+    mismatch, whose two sides become the report's witnesses."""
+    for got, expected in pairs:
+        if got != expected:
+            return _report(identity, params, False, got, expected)
+    return _report(identity, params, True)
+
+
+def _one(check: Callable[..., InvariantReport], *args, **kwargs) -> list[InvariantReport]:
+    return [check(*args, **kwargs)]
+
+
 # ---------------------------------------------------------------------------
 
 
-def suite_habiro_goldens(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    n_max = 8 if quick else 20
-    golden_knots = _knots(knot, (double_twist(1, 1), double_twist(-1, 1)))
-    for K in golden_knots:
-        ok, lhs, rhs = True, None, None
-        for n in range(n_max + 1):
-            if K.l == 1:
-                expected = _q(n * (n + 3), -1 if n % 2 else 1)
-            else:
-                expected = _q(0)
-            got = habiro_a(K, n)
-            if got != expected:
-                ok, lhs, rhs = False, got, expected
-                break
-        reports.append(_report("goldens", {"knot": knot_str(K), "n_max": n_max}, ok, lhs, rhs))
-    inv_max = 3 if quick else 6
-    for K in _knots(knot, FIVE_KNOTS + (mirror(torus_two_strand(2)),)):
-        evals = [colored_jones(K, l) for l in range(1, inv_max + 2)]
-        ok, lhs, rhs = True, None, None
-        for n in range(inv_max + 1):
-            got = habiro_from_jones(evals[: n + 1], n)
-            expected = habiro_c(K, n)
-            if got != expected:
-                ok, lhs, rhs = False, got, expected
-                break
-        reports.append(_report("inversion", {"knot": knot_str(K), "n_max": inv_max}, ok, lhs, rhs))
-    return reports
+def _goldens(K: KnotSpec, n_max: int) -> Iterator[InvariantReport]:
+    def expected(n):
+        return _q(n * (n + 3), -1 if n % 2 else 1) if K.l == 1 else _q(0)
+
+    pairs = ((habiro_a(K, n), expected(n)) for n in range(n_max + 1))
+    yield _agree("goldens", {"knot": knot_str(K), "n_max": n_max}, pairs)
 
 
-def suite_thm1_trunc(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
+def _inversion(K: KnotSpec, n_max: int) -> Iterator[InvariantReport]:
+    evals = [colored_jones(K, l) for l in range(1, n_max + 2)]
+    pairs = ((habiro_from_jones(evals[: n + 1], n), habiro_c(K, n)) for n in range(n_max + 1))
+    yield _agree("inversion", {"knot": knot_str(K), "n_max": n_max}, pairs)
+
+
+def suite_habiro_goldens(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for K in (double_twist(1, 1), double_twist(-1, 1)):
+        yield K, None, partial(_goldens, K, 8 if quick else 20)
+    for K in FIVE_KNOTS + (T25_MIRROR,):
+        yield K, None, partial(_inversion, K, 3 if quick else 6)
+
+
+def _thm1_factorization(K: KnotSpec, p: int, kk_end: int) -> Iterator[InvariantReport]:
+    zp = (_x(2 * p) + _x(-2 * p) - 2).with_order(p)
+
+    def truncated(n_end):
+        terms = (sigma_at_root(n, p) * a_at_root(K, n, p) for n in range(n_end))
+        return sum(terms, LaurentPoly.zero(("x",), p))
+
+    inner = truncated(p)
+
+    def factored(kk):
+        outer = sum((zp**k * a_at_one(K, k) for k in range(kk)), LaurentPoly.zero(("x",), p))
+        return inner * outer
+
+    pairs = ((truncated(kk * p), factored(kk)) for kk in range(1, kk_end))
+    yield _agree("thm1-factorization", {"knot": knot_str(K), "p": p}, pairs)
+
+
+def _alexander_inverse_series(K: KnotSpec, p: int, k_max: int) -> Iterator[InvariantReport]:
     z = _x(2) + _x(-2) - 2
-    for K in _knots(knot, FIVE_KNOTS):
-        for pp in _ps(p, (2, 3, 5)):
-            zp = (_x(2 * pp) + _x(-2 * pp) - 2).with_order(pp)
-            ok, lhs, rhs = True, None, None
-            for kk in range(1, 2 if quick else 4):
-                total = LaurentPoly.zero(("x",), pp)
-                for n in range(kk * pp):
-                    total = total + sigma_at_root(n, pp) * a_at_root(K, n, pp)
-                inner = LaurentPoly.zero(("x",), pp)
-                for n in range(pp):
-                    inner = inner + sigma_at_root(n, pp) * a_at_root(K, n, pp)
-                outer = LaurentPoly.zero(("x",), pp)
-                for k in range(kk):
-                    outer = outer + zp**k * a_at_one(K, k)
-                if total != inner * outer:
-                    ok, lhs, rhs = False, total, inner * outer
-                    break
-            reports.append(
-                _report("thm1-factorization", {"knot": knot_str(K), "p": pp}, ok, lhs, rhs)
-            )
-        kmax = 2 if quick else 4
-        for pp in _ps(p, (1, 2, 3, 5)):
-            series = LaurentPoly.zero(("x",), None if pp == 1 else pp)
-            for k in range(kmax + 1):
-                zz = z if pp == 1 else z.with_order(pp)
-                coeff = a_at_one(K, k) if pp == 1 else a_at_root(K, k * pp, pp)
-                series = series + zz**k * coeff
-            resid = alexander(K) * series - 1
-            if resid.is_zero():
-                ok = True
-            else:
-                try:
-                    exact_div(resid, z ** (kmax + 1))
-                    ok = True
-                except InexactDivisionError:
-                    ok = False
-            reports.append(
-                _report(
-                    "alexander-inverse-series",
-                    {"knot": knot_str(K), "p": pp, "k_max": kmax},
-                    ok,
-                    resid if not ok else None,
-                    None,
-                )
-            )
-    return reports
-
-
-def suite_thm2(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    for K in _knots(knot, FIVE_KNOTS):
-        for pp in _ps(p, (2, 3, 5)):
-            ok, lhs, rhs = True, None, None
-            for n in range(pp):
-                for k in range(2 if quick else 4):
-                    got = a_at_root(K, n + k * pp, pp)
-                    expected = a_at_root(K, n, pp) * a_at_one(K, k)
-                    if got != expected:
-                        ok, lhs, rhs = False, got, expected
-                        break
-                if not ok:
-                    break
-            reports.append(
-                _report("thm2-periodicity", {"knot": knot_str(K), "p": pp}, ok, lhs, rhs)
-            )
-    t_max = 2 if quick else 4
-    p2_knots = FIVE_KNOTS + tuple(torus_two_strand(t) for t in range(1, t_max + 1))
-    for K in _knots(knot, p2_knots):
-        if p is not None and p != 2:
-            continue
-        got = ado(K, 2).poly
-        expected = alexander(K).substitute("x", coeff=-1, new_var="x", exp2=2).with_order(2)
-        reports.append(
-            _report("ado-p2-alexander", {"knot": knot_str(K)}, got == expected, got, expected)
-        )
-    return reports
-
-
-def suite_thm3(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    for K in _knots(knot, FIVE_KNOTS):
-        for pp in _ps(p, (3, 5) if quick else (3, 5, 7)):
-            reports.append(verify_thm3(K, pp))
-    if exploratory:
-        for t in (2, 3):
-            for pp in _ps(p, (3, 5)):
-                reports.append(verify_thm3(torus_two_strand(t), pp, exploratory=True))
-    return reports
-
-
-def suite_thm4_vs_conj(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    for t in (1, 2) if quick else (1, 2, 3):
-        K = torus_two_strand(t)
-        if knot is not None and K != knot:
-            continue
-        for pp in _ps(p, (2, 3) if quick else (2, 3, 5)):
-            params = {"knot": knot_str(K), "p": pp}
-            try:
-                conj = ado_conjectural(2, 2 * t + 1, pp).poly
-            except InexactDivisionError as exc:
-                reports.append(
-                    InvariantReport("thm4-vs-conj", {**params, "error": str(exc)}, False)
-                )
-                continue
-            direct = ado(K, pp).poly.with_order(4 * 2 * (2 * t + 1) * pp)
-            reports.append(_report("thm4-vs-conj", params, conj == direct, conj, direct))
-    return reports
-
-
-def suite_wrt_consistency(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    ps = (3, 5) if quick else (3, 5, 7)
-    for K in _knots(knot, FIVE_KNOTS):
-        for pp in _ps(p, ps):
-            direct = wrt_zero(K, pp)
-            closed = wrt_zero_closed(K, pp)
-            params = {"knot": knot_str(K), "p": pp}
-            reports.append(_report("wrt-two-routes", params, direct == closed, direct, closed))
-            if pp == 3:
-                reports.append(
-                    _report(
-                        "wrt-p3-value",
-                        params,
-                        habiro_a(K, 0) == 1 and direct == -6,
-                        direct,
-                        CycNumber.from_int(6, -6),
-                    )
-                )
-    if knot is None:
-        for pp in _ps(p, ps):
-            ok, lhs = True, None
-            for m in range((pp - 1) // 2, pp - 1):
-                total = CycNumber.zero(2 * pp)
-                sig = sigma_at_root(m, pp)
-                for n in range(pp):
-                    br = zeta(2 * pp, 2 * n + 1) - zeta(2 * pp, -(2 * n + 1))
-                    total = total + br * br * sig.evaluate({"x": zeta(pp, 2 * n + 1)}).embed(2 * pp)
-                if not total.is_zero():
-                    ok, lhs = False, total
-                    break
-            reports.append(_report("wrt-middle-vanishing", {"p": pp}, ok, lhs, None))
-    return reports
-
-
-def suite_torus_T(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    for t in (1,) if quick else (1, 2):
-        if knot is not None and torus_two_strand(t) != knot:
-            continue
-        for pp in _ps(p, (3, 5)):
-            reports.append(verify_T_claim(t, pp))
-            res = cgp_torus_direct(t, pp)
-            at_one = res.numerator.evaluate({"u": 1})
-            expected = wrt_torus_direct(t, pp) * 2
-            reports.append(
-                _report(
-                    "torus-doublesum-at-1",
-                    {"t": t, "p": pp},
-                    at_one == expected,
-                    at_one,
-                    expected,
-                )
-            )
-            total = CycNumber.zero(2 * pp)
-            for n in range(1, 2 * pp, 2):
-                br = zeta(2 * pp, n) - zeta(2 * pp, -n)
-                total = total + br * br * eval_at_root(
-                    colored_jones_hyper_t2(t, n), pp, 1, order=2 * pp
-                )
-            reports.append(
-                _report(
-                    "torus-wrt-definition",
-                    {"t": t, "p": pp},
-                    wrt_torus_direct(t, pp) == total,
-                    wrt_torus_direct(t, pp),
-                    total,
-                )
-            )
-            lhs = cgp_from_ado(torus_two_strand(t), pp).numerator * (
-                LaurentPoly.univar("u", {0: 1, -4 * pp: 1}).with_order(2 * pp)
-            )
-            rhs = res.numerator * LaurentPoly.univar("u", {4 * (pp - 1) * t: 1}).with_order(2 * pp)
-            reports.append(
-                _report("torus-cgp-cross-route", {"t": t, "p": pp}, lhs == rhs, lhs, rhs)
-            )
-    return reports
-
-
-def suite_appendix_t25(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    K = mirror(torus_two_strand(2))
-    if knot is not None and knot != K:
-        return reports
-    for pp in _ps(p, (3, 5) if quick else (3, 5, 7)):
-        ok, lhs, rhs = True, None, None
-        for m in range(5):
-            got = t25_a_mp_closed(m, pp)
-            expected = CycNumber.from_int(pp, a_minus_one_closed(m))
-            if m >= 1:
-                expected = expected + a_one_closed(m) * (t25_a_p_closed(pp) + 2)
-            if got != expected:
-                ok, lhs, rhs = False, got, expected
-                break
-        reports.append(_report("appendix-eq25", {"p": pp, "m_max": 4}, ok, lhs, rhs))
-    if p in (None, 3):
-        closed = t25_a_p_closed(3)
-        direct = a_at_root(K, 3, 3)
-        reports.append(
-            _report(
-                "appendix-a_p-dual-route",
-                {"p": 3},
-                closed == -3 and direct == -3,
-                closed,
-                direct,
-            )
-        )
-    grid = [(1, 3), (2, 3), (1, 5)] if quick else [(1, 3), (2, 3), (3, 3), (4, 3), (1, 5), (2, 5), (1, 7)]
-    for m, pp in grid:
-        if p is not None and pp != p:
-            continue
-        closed = t25_a_mp_closed(m, pp)
-        direct = a_at_root(K, m * pp, pp)
-        reports.append(
-            _report("appendix-closed-vs-direct", {"m": m, "p": pp}, closed == direct, closed, direct)
-        )
-    if p is None:
-        k_max = 4 if quick else 8
-        ok = all(
-            a_one_closed(k + 1) == a_at_one(K, k) for k in range(k_max + 1)
-        ) and all(
-            a_minus_one_closed(m) == eval_at_root(habiro_a(K, 2 * m), 2).as_int()
-            for m in range((k_max + 1) // 2)
-        )
-        reports.append(_report("appendix-specializations", {"k_max": k_max}, ok))
-    return reports
-
-
-def suite_jones_consistency(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    n_max = 5 if quick else 8
-    for t in (1, 2):
-        K = torus_two_strand(t)
-        if knot is not None and K != knot:
-            continue
-        ok, lhs, rhs = True, None, None
-        for N in range(1, n_max + 1):
-            got = colored_jones(K, N)
-            expected = colored_jones_hyper_t2(t, N)
-            if got != expected:
-                ok, lhs, rhs = False, got, expected
-                break
-        reports.append(
-            _report("jones-habiro-vs-hyper", {"knot": knot_str(K), "N_max": n_max}, ok, lhs, rhs)
-        )
-        ok = True
-        for N in range(3, n_max + 1):
-            if not check_torus_recurrence(
-                2, 2 * t + 1, N, colored_jones_hyper_t2(t, N), colored_jones_hyper_t2(t, N - 2)
-            ):
-                ok = False
-                break
-        reports.append(
-            _report("jones-recurrence", {"knot": knot_str(K), "N_max": n_max}, ok)
-        )
-    return reports
-
-
-def suite_qtools_identities(quick, knot, p, exploratory) -> list[InvariantReport]:
-    reports = []
-    ab_max = 2 if quick else 3
-    for pp in _ps(p, (2, 3, 5) if quick else (2, 3, 5, 7)):
-        ok, lhs, rhs = True, None, None
-        for n in range(pp):
-            for k in range(pp):
-                for a in range(ab_max + 1):
-                    for b in range(ab_max + 1):
-                        direct = eval_at_root(qbinomial(n + a * pp, k + b * pp), pp)
-                        fast = eval_at_root(qbinomial(n, k), pp) * math.comb(a, b)
-                        if direct != fast:
-                            ok, lhs, rhs = False, direct, fast
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(_report("qbinom-root-factorization", {"p": pp}, ok, lhs, rhs))
-    for pp in _ps(p, (2, 3, 5, 7)):
-        got = sigma_at_root(pp, pp)
-        expected = (_x(2 * pp) + _x(-2 * pp) - 2).with_order(pp)
-        reports.append(_report("sigma-at-own-root", {"p": pp}, got == expected, got, expected))
-    if p is None:
-        n_max = 6 if quick else 12
-        ok, lhs, rhs = True, None, None
-        for n in range(n_max + 1):
-            lhs_poly = pochhammer_pair(n)
-            rhs_poly = sigma(n) * LaurentPoly.make(("x", "q"), {(0, n * (n + 1)): -1 if n % 2 else 1})
-            if lhs_poly != rhs_poly:
-                ok, lhs, rhs = False, lhs_poly, rhs_poly
-                break
-        reports.append(_report("pochhammer-sigma", {"n_max": n_max}, ok, lhs, rhs))
-    for pp in _ps(p, (2, 3) if quick else (2, 3, 5, 7)):
-        ok, lhs, rhs = True, None, None
-        sig_p = sigma_at_root(pp, pp)
-        for n in range(pp):
-            for k in range(1, 3 if quick else 4):
-                got = sigma_at_root(n + k * pp, pp)
-                expected = sigma_at_root(n, pp) * sig_p**k
-                if got != expected:
-                    ok, lhs, rhs = False, got, expected
-                    break
-            if not ok:
-                break
-        reports.append(_report("sigma-periodicity", {"p": pp}, ok, lhs, rhs))
-    for pp in _ps(p, (2, 3) if quick else (1, 2, 3, 4, 5)):
-        ok, lhs, rhs = True, None, None
-        for t in (2, 3):
-            for m in range(pp):
-                got = _andrews_side(t, pp, pp + m)
-                geom = LaurentPoly.univar(
-                    "x", {4 * pp * j: CycNumber.from_int(pp, 1) for j in range(t)}
-                )
-                expected = geom * _andrews_side(t, pp, m)
-                if got != expected:
-                    ok, lhs, rhs = False, got, expected
-                    break
-            if not ok:
-                break
-        reports.append(_report("qbinom-multisum-cap", {"p": pp, "t_max": 3}, ok, lhs, rhs))
-    for pp in _ps(p, (3, 5, 7)):
-        zero_ok = brace(pp, pp) == 0 and brace(0, pp) == 0
-        reports.append(_report("brace-vanishing", {"p": pp}, zero_ok))
-        val = eval_at_root(qbinomial_balanced(2 * pp - 1, pp), pp)
-        expected_val = CycNumber.from_int(2 * pp, 1 if (pp - 1) % 2 == 0 else -1)
-        reports.append(
-            _report("balanced-central-binomial", {"p": pp}, val == expected_val, val, expected_val)
-        )
-        ok = True
+    series = LaurentPoly.zero(("x",), None if p == 1 else p)
+    for k in range(k_max + 1):
+        zz = z if p == 1 else z.with_order(p)
+        coeff = a_at_one(K, k) if p == 1 else a_at_root(K, k * p, p)
+        series = series + zz**k * coeff
+    resid = alexander(K) * series - 1
+    ok = True
+    if not resid.is_zero():
         try:
-            for m in range(pp):
-                bracket_poly(m, pp)
-        except ArithmeticError:
+            exact_div(resid, z ** (k_max + 1))
+        except InexactDivisionError:
             ok = False
-        reports.append(_report("bracket-monic", {"p": pp}, ok))
-        ok, lhs = True, None
-        for a in range(-pp, pp + 1):
-            total = LaurentPoly.zero(("u",), 2 * pp)
-            for n in range(pp):
-                total = total + LaurentPoly.univar("u", {4 * a: zeta(pp, (2 * n + 1) * a).embed(2 * pp)})
-            if a == 0:
-                expected_p = LaurentPoly.univar("u", {0: CycNumber.from_int(2 * pp, pp)})
-            elif a in (pp, -pp):
-                expected_p = LaurentPoly.univar("u", {4 * a: CycNumber.from_int(2 * pp, pp)})
-            else:
-                expected_p = LaurentPoly.zero(("u",), 2 * pp)
-            if total != expected_p:
-                ok, lhs = False, total
-                break
-        reports.append(_report("root-power-sum", {"p": pp}, ok, lhs, None))
-        ok = all(
-            brace(2 * pp * n, pp, lam_coeff=pp)
-            == LaurentPoly.univar("u", {2 * pp: 1, -2 * pp: -1}).with_order(2 * pp)
-            for n in range(pp)
+    params = {"knot": knot_str(K), "p": p, "k_max": k_max}
+    yield _report("alexander-inverse-series", params, ok, resid)
+
+
+def suite_thm1_trunc(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for K in FIVE_KNOTS:
+        for p in (2, 3, 5):
+            yield K, p, partial(_thm1_factorization, K, p, 2 if quick else 4)
+        for p in (1, 2, 3, 5):
+            yield K, p, partial(_alexander_inverse_series, K, p, 2 if quick else 4)
+
+
+def _thm2_periodicity(K: KnotSpec, p: int, k_end: int) -> Iterator[InvariantReport]:
+    pairs = (
+        (a_at_root(K, n + k * p, p), a_at_root(K, n, p) * a_at_one(K, k))
+        for n in range(p)
+        for k in range(k_end)
+    )
+    yield _agree("thm2-periodicity", {"knot": knot_str(K), "p": p}, pairs)
+
+
+def _ado_p2_alexander(K: KnotSpec) -> Iterator[InvariantReport]:
+    got = ado(K, 2).poly
+    expected = alexander(K).substitute("x", coeff=-1, new_var="x", exp2=2).with_order(2)
+    yield _report("ado-p2-alexander", {"knot": knot_str(K)}, got == expected, got, expected)
+
+
+def suite_thm2(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for K in FIVE_KNOTS:
+        for p in (2, 3, 5):
+            yield K, p, partial(_thm2_periodicity, K, p, 2 if quick else 4)
+    t_max = 2 if quick else 4
+    for K in FIVE_KNOTS + tuple(torus_two_strand(t) for t in range(1, t_max + 1)):
+        yield K, 2, partial(_ado_p2_alexander, K)
+
+
+def suite_thm3(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for K in FIVE_KNOTS:
+        for p in (3, 5) if quick else (3, 5, 7):
+            yield K, p, partial(_one, verify_thm3, K, p)
+    if exploratory:
+        for K in (torus_two_strand(2), torus_two_strand(3)):
+            for p in (3, 5):
+                yield K, p, partial(_one, verify_thm3, K, p, exploratory=True)
+
+
+def _thm4_vs_conj(t: int, p: int) -> Iterator[InvariantReport]:
+    K = torus_two_strand(t)
+    params = {"knot": knot_str(K), "p": p}
+    try:
+        conj = ado_conjectural(2, 2 * t + 1, p).poly
+    except InexactDivisionError as exc:
+        yield InvariantReport("thm4-vs-conj", {**params, "error": str(exc)}, False)
+        return
+    direct = ado(K, p).poly.with_order(4 * 2 * (2 * t + 1) * p)
+    yield _report("thm4-vs-conj", params, conj == direct, conj, direct)
+
+
+def suite_thm4_vs_conj(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for t in (1, 2) if quick else (1, 2, 3):
+        for p in (2, 3) if quick else (2, 3, 5):
+            yield torus_two_strand(t), p, partial(_thm4_vs_conj, t, p)
+
+
+def _wrt_two_routes(K: KnotSpec, p: int) -> Iterator[InvariantReport]:
+    direct = wrt_zero(K, p)
+    closed = wrt_zero_closed(K, p)
+    params = {"knot": knot_str(K), "p": p}
+    yield _report("wrt-two-routes", params, direct == closed, direct, closed)
+    if p == 3:
+        ok = habiro_a(K, 0) == 1 and direct == -6
+        yield _report("wrt-p3-value", params, ok, direct, CycNumber.from_int(6, -6))
+
+
+def _wrt_middle_vanishing(p: int) -> Iterator[InvariantReport]:
+    def total(m):
+        sig = sigma_at_root(m, p)
+        total = CycNumber.zero(2 * p)
+        for n in range(p):
+            br = zeta(2 * p, 2 * n + 1) - zeta(2 * p, -(2 * n + 1))
+            total = total + br * br * sig.evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
+        return total
+
+    zero = CycNumber.zero(2 * p)
+    pairs = ((total(m), zero) for m in range((p - 1) // 2, p - 1))
+    yield _agree("wrt-middle-vanishing", {"p": p}, pairs)
+
+
+def suite_wrt_consistency(quick: bool, exploratory: bool) -> Iterator[Point]:
+    ps = (3, 5) if quick else (3, 5, 7)
+    for K in FIVE_KNOTS:
+        for p in ps:
+            yield K, p, partial(_wrt_two_routes, K, p)
+    for p in ps:
+        yield None, p, partial(_wrt_middle_vanishing, p)
+
+
+def _torus_T(t: int, p: int) -> Iterator[InvariantReport]:
+    yield verify_T_claim(t, p)
+    params = {"t": t, "p": p}
+    res = cgp_torus_direct(t, p)
+    wrt = wrt_torus_direct(t, p)
+    at_one = res.numerator.evaluate({"u": 1})
+    yield _report("torus-doublesum-at-1", params, at_one == wrt * 2, at_one, wrt * 2)
+    total = CycNumber.zero(2 * p)
+    for n in range(1, 2 * p, 2):
+        br = zeta(2 * p, n) - zeta(2 * p, -n)
+        total = total + br * br * eval_at_root(colored_jones_hyper_t2(t, n), p, 1, order=2 * p)
+    yield _report("torus-wrt-definition", params, wrt == total, wrt, total)
+    lhs = cgp_from_ado(torus_two_strand(t), p).numerator * (
+        LaurentPoly.univar("u", {0: 1, -4 * p: 1}).with_order(2 * p)
+    )
+    rhs = res.numerator * LaurentPoly.univar("u", {4 * (p - 1) * t: 1}).with_order(2 * p)
+    yield _report("torus-cgp-cross-route", params, lhs == rhs, lhs, rhs)
+
+
+def suite_torus_T(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for t in (1,) if quick else (1, 2):
+        for p in (3, 5):
+            yield torus_two_strand(t), p, partial(_torus_T, t, p)
+
+
+def _appendix_eq25(p: int) -> Iterator[InvariantReport]:
+    def expected(m):
+        value = CycNumber.from_int(p, a_minus_one_closed(m))
+        return value + a_one_closed(m) * (t25_a_p_closed(p) + 2) if m >= 1 else value
+
+    pairs = ((t25_a_mp_closed(m, p), expected(m)) for m in range(5))
+    yield _agree("appendix-eq25", {"p": p, "m_max": 4}, pairs)
+
+
+def _appendix_dual_route() -> Iterator[InvariantReport]:
+    closed = t25_a_p_closed(3)
+    direct = a_at_root(T25_MIRROR, 3, 3)
+    ok = closed == -3 and direct == -3
+    yield _report("appendix-a_p-dual-route", {"p": 3}, ok, closed, direct)
+
+
+def _appendix_closed_vs_direct(m: int, p: int) -> Iterator[InvariantReport]:
+    closed = t25_a_mp_closed(m, p)
+    direct = a_at_root(T25_MIRROR, m * p, p)
+    params = {"m": m, "p": p}
+    yield _report("appendix-closed-vs-direct", params, closed == direct, closed, direct)
+
+
+def _appendix_specializations(k_max: int) -> Iterator[InvariantReport]:
+    ok = all(a_one_closed(k + 1) == a_at_one(T25_MIRROR, k) for k in range(k_max + 1)) and all(
+        a_minus_one_closed(m) == eval_at_root(habiro_a(T25_MIRROR, 2 * m), 2).as_int()
+        for m in range((k_max + 1) // 2)
+    )
+    yield _report("appendix-specializations", {"k_max": k_max}, ok)
+
+
+def suite_appendix_t25(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for p in (3, 5) if quick else (3, 5, 7):
+        yield T25_MIRROR, p, partial(_appendix_eq25, p)
+    yield T25_MIRROR, 3, _appendix_dual_route
+    grid = [(1, 3), (2, 3), (1, 5)] if quick else [(1, 3), (2, 3), (3, 3), (4, 3), (1, 5), (2, 5), (1, 7)]
+    for m, p in grid:
+        yield T25_MIRROR, p, partial(_appendix_closed_vs_direct, m, p)
+    yield T25_MIRROR, None, partial(_appendix_specializations, 4 if quick else 8)
+
+
+def _jones_consistency(t: int, n_max: int) -> Iterator[InvariantReport]:
+    K = torus_two_strand(t)
+    params = {"knot": knot_str(K), "N_max": n_max}
+    hyper = {N: colored_jones_hyper_t2(t, N) for N in range(1, n_max + 1)}
+    yield _agree("jones-habiro-vs-hyper", params, ((colored_jones(K, N), hyper[N]) for N in hyper))
+    ok = all(
+        check_torus_recurrence(2, 2 * t + 1, N, hyper[N], hyper[N - 2])
+        for N in range(3, n_max + 1)
+    )
+    yield _report("jones-recurrence", params, ok)
+
+
+def suite_jones_consistency(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for t in (1, 2):
+        yield torus_two_strand(t), None, partial(_jones_consistency, t, 5 if quick else 8)
+
+
+def _qbinom_root_factorization(p: int, ab_max: int) -> Iterator[InvariantReport]:
+    pairs = (
+        (
+            eval_at_root(qbinomial(n + a * p, k + b * p), p),
+            eval_at_root(qbinomial(n, k), p) * math.comb(a, b),
         )
-        reports.append(_report("modified-dimension-brace", {"p": pp}, ok))
-    return reports
+        for n in range(p)
+        for k in range(p)
+        for a in range(ab_max + 1)
+        for b in range(ab_max + 1)
+    )
+    yield _agree("qbinom-root-factorization", {"p": p}, pairs)
+
+
+def _sigma_at_own_root(p: int) -> Iterator[InvariantReport]:
+    got = sigma_at_root(p, p)
+    expected = (_x(2 * p) + _x(-2 * p) - 2).with_order(p)
+    yield _report("sigma-at-own-root", {"p": p}, got == expected, got, expected)
+
+
+def _pochhammer_sigma(n_max: int) -> Iterator[InvariantReport]:
+    def sign_q(n):
+        return LaurentPoly.make(("x", "q"), {(0, n * (n + 1)): -1 if n % 2 else 1})
+
+    pairs = ((pochhammer_pair(n), sigma(n) * sign_q(n)) for n in range(n_max + 1))
+    yield _agree("pochhammer-sigma", {"n_max": n_max}, pairs)
+
+
+def _sigma_periodicity(p: int, k_end: int) -> Iterator[InvariantReport]:
+    sig_p = sigma_at_root(p, p)
+    pairs = (
+        (sigma_at_root(n + k * p, p), sigma_at_root(n, p) * sig_p**k)
+        for n in range(p)
+        for k in range(1, k_end)
+    )
+    yield _agree("sigma-periodicity", {"p": p}, pairs)
+
+
+def _qbinom_multisum_cap(p: int) -> Iterator[InvariantReport]:
+    def geom(t):
+        return LaurentPoly.univar("x", {4 * p * j: CycNumber.from_int(p, 1) for j in range(t)})
+
+    pairs = (
+        (_andrews_side(t, p, p + m), geom(t) * _andrews_side(t, p, m))
+        for t in (2, 3)
+        for m in range(p)
+    )
+    yield _agree("qbinom-multisum-cap", {"p": p, "t_max": 3}, pairs)
+
+
+def _root_of_unity_checks(p: int) -> Iterator[InvariantReport]:
+    zero_ok = brace(p, p) == 0 and brace(0, p) == 0
+    yield _report("brace-vanishing", {"p": p}, zero_ok)
+    val = eval_at_root(qbinomial_balanced(2 * p - 1, p), p)
+    expected_val = CycNumber.from_int(2 * p, 1 if (p - 1) % 2 == 0 else -1)
+    yield _report("balanced-central-binomial", {"p": p}, val == expected_val, val, expected_val)
+    ok = True
+    try:
+        for m in range(p):
+            bracket_poly(m, p)
+    except ArithmeticError:
+        ok = False
+    yield _report("bracket-monic", {"p": p}, ok)
+
+    def power_sum(a):
+        total = LaurentPoly.zero(("u",), 2 * p)
+        for n in range(p):
+            total = total + LaurentPoly.univar("u", {4 * a: zeta(p, (2 * n + 1) * a).embed(2 * p)})
+        return total
+
+    def expected(a):
+        if a == 0:
+            return LaurentPoly.univar("u", {0: CycNumber.from_int(2 * p, p)})
+        if a in (p, -p):
+            return LaurentPoly.univar("u", {4 * a: CycNumber.from_int(2 * p, p)})
+        return LaurentPoly.zero(("u",), 2 * p)
+
+    pairs = ((power_sum(a), expected(a)) for a in range(-p, p + 1))
+    yield _agree("root-power-sum", {"p": p}, pairs)
+    ok = all(
+        brace(2 * p * n, p, lam_coeff=p)
+        == LaurentPoly.univar("u", {2 * p: 1, -2 * p: -1}).with_order(2 * p)
+        for n in range(p)
+    )
+    yield _report("modified-dimension-brace", {"p": p}, ok)
+
+
+def suite_qtools_identities(quick: bool, exploratory: bool) -> Iterator[Point]:
+    for p in (2, 3, 5) if quick else (2, 3, 5, 7):
+        yield None, p, partial(_qbinom_root_factorization, p, 2 if quick else 3)
+    for p in (2, 3, 5, 7):
+        yield None, p, partial(_sigma_at_own_root, p)
+    yield None, None, partial(_pochhammer_sigma, 6 if quick else 12)
+    for p in (2, 3) if quick else (2, 3, 5, 7):
+        yield None, p, partial(_sigma_periodicity, p, 3 if quick else 4)
+    for p in (2, 3) if quick else (1, 2, 3, 4, 5):
+        yield None, p, partial(_qbinom_multisum_cap, p)
+    for p in (3, 5, 7):
+        yield None, p, partial(_root_of_unity_checks, p)
 
 
 def _andrews_side(t: int, p: int, top: int) -> LaurentPoly:
@@ -498,7 +438,7 @@ def _andrews_side(t: int, p: int, top: int) -> LaurentPoly:
     return _torus_chain_sums(t, p, top)[top]
 
 
-SUITES: dict[str, SuiteFn] = {
+SUITES: dict[str, Callable[[bool, bool], Iterable[Point]]] = {
     "habiro-goldens": suite_habiro_goldens,
     "thm1-trunc": suite_thm1_trunc,
     "thm2": suite_thm2,
@@ -519,4 +459,10 @@ def run_suite(
     p: Optional[int] = None,
     exploratory: bool = False,
 ) -> list[InvariantReport]:
-    return SUITES[name](quick, knot, p, exploratory)
+    """Run the points of one suite that the knot and p filters keep, in order."""
+    return [
+        report
+        for point_knot, point_p, run in SUITES[name](quick, exploratory)
+        if (knot is None or point_knot == knot) and (p is None or point_p == p)
+        for report in run()
+    ]

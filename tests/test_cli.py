@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,7 @@ class TestUsageErrors:
             ["verify", "--suite", "thm2", "--p", "4"],
             ["verify", "--suite", "thm3", "--p", "9", "--format", "json"],
             ["verify", "--suite", "torus-T", "--knot", "dt:1,1"],
+            ["verify", "--suite", "all", "--knot", "dt:3,3"],
         ],
     )
     def test_empty_selection_exit_2(self, capsys, argv):
@@ -177,18 +181,43 @@ class TestVerify:
 
     def test_exploratory_failures_do_not_fail_run(self, capsys, monkeypatch):
         report = InvariantReport("demo", {"exploratory": True}, False)
-        monkeypatch.setitem(cli.SUITES, "thm3", lambda *a: [report])
+        monkeypatch.setitem(cli.SUITES, "thm3", lambda *a: iter([(None, None, lambda: [report])]))
         code, out, err = run_capture(capsys, ["verify", "--suite", "thm3"])
         assert code == 0 and err == ""
         assert "INFO(fail) demo" in out
 
     def test_failures_exit_1_and_go_to_stderr(self, capsys, monkeypatch):
         bad = InvariantReport("demo-bad", {"p": 3}, False)
-        monkeypatch.setitem(cli.SUITES, "thm2", lambda *a: [bad])
+        monkeypatch.setitem(cli.SUITES, "thm2", lambda *a: iter([(None, None, lambda: [bad])]))
         code, out, err = run_capture(capsys, ["verify", "--suite", "thm2"])
         assert code == 1
         assert "FAIL demo-bad" in out
         assert "FAIL demo-bad" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--knot", "dt:2,2", "knot=dt:2,2"),
+            ("--knot", "dt:-1,1", "knot=dt:-1,1"),
+            ("--p", "3", "p=3"),
+            ("--p", "5", "p=5"),
+            ("--p", "7", "p=7"),
+        ],
+    )
+    def test_filter_keeps_only_matching_checks(self, capsys, flag, value, needle):
+        code, out, err = run_capture(capsys, ["verify", "--suite", "all", flag, value])
+        assert code == 0 and err == ""
+        lines = [line for line in out.splitlines() if not line.startswith("==")]
+        assert lines
+        for line in lines:
+            assert needle in line.split(), line
+
+    def test_knot_filter_drops_exploratory_torus_points(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["verify", "--suite", "thm3", "--exploratory", "--knot", "dt:1,1"]
+        )
+        assert code == 0
+        assert "knot=dt:1,1" in out and "t2:" not in out
 
     def test_json_summary(self, capsys):
         code, out, _ = run_capture(
@@ -217,3 +246,26 @@ class TestDeterminism:
         code1, out1, err1 = run_capture(capsys, argv)
         code2, out2, err2 = run_capture(capsys, argv)
         assert (code1, out1, err1) == (code2, out2, err2)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of every `cyclo-knot ...` line in README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("cyclo-knot ")
+    ]
+
+
+class TestReadme:
+    def test_examples_found(self):
+        assert len(_readme_commands()) >= 8
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_example_exits_0(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0, err
+        assert out
