@@ -6,6 +6,8 @@ All arithmetic is exact: arbitrary-precision integers, sparse Laurent
 polynomials with half-integer exponents, and cyclotomic integers Z[zeta_m].
 """
 
+import sys
+
 from .exactring import (
     CycNumber,
     InexactDivisionError,
@@ -75,3 +77,17 @@ from .qtools import (
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every functools.lru_cache of the package's loaded modules.
+
+    The memoized q-binomials, chain sums and Habiro coefficients are kept
+    for the life of the process; this releases them.  Later calls recompute
+    what they need and return equal values.
+    """
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .exactring import (
     CycNumber,
@@ -26,7 +26,6 @@ from .knots import (
     KnotSpec,
     Mirror,
     TorusTwoStrand,
-    _chain_transfer,
     a_at_root,
     alexander,
     habiro_c,
@@ -34,6 +33,32 @@ from .knots import (
     knot_str,
 )
 from .qtools import _q, brace, qbinomial, qbinomial_at_root, sigma_at_root
+
+
+# ---------------------------------------------------------------------------
+# chain transfer kernel
+# ---------------------------------------------------------------------------
+
+
+def _chain_transfer(first: Iterable, one, links: int, step: Callable[[int, object], Iterable]) -> dict:
+    """Transfer sum along a chain: S_{i+1}(s') = sum_s w_i(s, s') S_i(s).
+
+    S_1 is the empty product, one, on every state of first; step(i, s)
+    yields the pairs (s', w_i(s, s')) for the links i = 1..links.  Returns
+    {s: S_{links+1}(s)}.  A sum over nondecreasing chains k_1 <= ... <= k_len
+    of a product of link weights is the case links = len - 1 with state k_i;
+    it takes a number of products polynomial in the chain length, not one
+    product per chain.
+    """
+    sums = dict.fromkeys(first, one)
+    for i in range(1, links + 1):
+        nxt: dict = {}
+        for s, value in sums.items():
+            for s2, w in step(i, s):
+                term = w if i == 1 else value * w
+                nxt[s2] = nxt[s2] + term if s2 in nxt else term
+        sums = nxt
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ cyclotomic expansion of the colored Jones polynomial,
 
 with a_n = (-1)^n q^(n(n+1)/2) C_n.  They are computed from the known
 nondecreasing-chain multi-sum formulas for these families.  Each multi-sum is
-evaluated by one transfer kernel, _chain_transfer, which carries the partial
-sums over all chains ending in a given state from one link to the next, so
-its cost is polynomial in the chain length rather than one product per chain.
-The evaluation inversion habiro_from_jones recovers C_n from colored Jones
-values and serves as an independent cross-check.
+split at its last link into memoized columns: the sums over the chains of a
+given length that end at a given value k (for the torus family, also with a
+given prefix sum).  A column depends neither on the index n nor on the twist
+parameters, so a_0, ..., a_N, and knots whose chains share a prefix, share
+one set of columns.  The cost is polynomial in the chain length rather than
+one product per chain, and columns are filled lowest level first, so chains
+of any length need no deep recursion.  The evaluation inversion
+habiro_from_jones recovers C_n from colored Jones values and serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
 from .qtools import _q, qbinomial, qbinomial_at_root, qpochhammer
@@ -148,51 +152,90 @@ def is_double_twist_family(knot: KnotSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _chain_transfer(first: Iterable, one, links: int, step: Callable[[int, object], Iterable]) -> dict:
-    """Transfer sum along a chain: S_{i+1}(s') = sum_s w_i(s, s') S_i(s).
+_ONE_TERMS = (((0,), 1),)
 
-    S_1 is the empty product, one, on every state of first; step(i, s)
-    yields the pairs (s', w_i(s, s')) for the links i = 1..links.  Returns
-    {s: S_{links+1}(s)}.  A sum over nondecreasing chains k_1 <= ... <= k_len
-    of a product of link weights is the case links = len - 1 with state k_i,
-    or a tuple starting with k_i when a weight needs more of the chain; it
-    takes a number of products polynomial in the chain length, not one
-    product per chain.
+
+def _shifted_sum(terms: Iterable[tuple[int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum of q^(e/2) w f over the triples (e, w, f), in one dict.
+
+    Each term is added into one accumulator and the result is normalized
+    once, instead of building a polynomial per partial sum; a factor equal
+    to 1 costs no product.
     """
-    sums = dict.fromkeys(first, one)
-    for i in range(1, links + 1):
-        nxt: dict = {}
-        for s, value in sums.items():
-            for s2, w in step(i, s):
-                term = w if i == 1 else value * w
-                nxt[s2] = nxt[s2] + term if s2 in nxt else term
-        sums = nxt
-    return sums
+    acc: dict[int, int] = {}
+    for e, w, f in terms:
+        if f.terms != _ONE_TERMS:
+            w = f if w.terms == _ONE_TERMS else w * f
+        for (x,), c in w.terms:
+            x += e
+            acc[x] = acc[x] + c if x in acc else c
+    return LaurentPoly(("q",), tuple([((x,), c) for x, c in sorted(acc.items()) if c]), None)
 
 
-def _fixed_top_sum(length: int, top: int, weight: Callable[[int, int], LaurentPoly]) -> LaurentPoly:
-    """sum over top = k_length >= ... >= k_1 >= 0 of prod_i weight(k_i, k_{i+1})."""
+def _fill_below(column: Callable[[int, int], object], level: int, top: int, low: int = 0) -> None:
+    """Evaluate the memoized column(i, k) for 2 <= i < level and low <= k <= top.
 
-    def step(i, k):
-        for k2 in (top,) if i == length - 1 else range(k, top + 1):
-            yield k2, weight(k, k2)
-
-    return _chain_transfer(range(top + 1), _q(0), length - 1, step)[top]
+    Levels go lowest first, so each new entry finds the level below it
+    cached and the Python stack does not grow with the chain length.
+    """
+    for i in range(2, level):
+        for k in range(low, top + 1):
+            column(i, k)
 
 
 @functools.lru_cache(maxsize=None)
+def _twist_column(minus: bool, length: int, n: int) -> LaurentPoly:
+    """_chain_sum_plus (or _chain_sum_minus) by its last link k = k_{length-1}:
+
+    S(length, n) = sum_{k<=n} q^(k(k+1)) [n; k] S(length-1, k), S(1, n) = 1,
+    with q^(-k(n+1)) in place of q^(k(k+1)) for the minus sum.
+    """
+    if length == 1:
+        return _q(0)
+    return _shifted_sum(
+        (-2 * k * (n + 1) if minus else 2 * k * (k + 1), qbinomial(n, k), _twist_column(minus, length - 1, k))
+        for k in range(n + 1)
+    )
+
+
 def _chain_sum_plus(length: int, n: int) -> LaurentPoly:
     """sum over n = k_length >= ... >= k_1 >= 0 of prod q^(k_i(k_i+1)) [k_{i+1}; k_i]."""
-    return _fixed_top_sum(length, n, lambda k, k2: _q(2 * k * (k + 1)) * qbinomial(k2, k))
+    _fill_below(functools.partial(_twist_column, False), length, n)
+    return _twist_column(False, length, n)
 
 
-@functools.lru_cache(maxsize=None)
 def _chain_sum_minus(length: int, n: int) -> LaurentPoly:
     """Like _chain_sum_plus but with the factors q^(-k_i(k_{i+1}+1))."""
-    return _fixed_top_sum(length, n, lambda k, k2: _q(-2 * k * (k2 + 1)) * qbinomial(k2, k))
+    _fill_below(functools.partial(_twist_column, True), length, n)
+    return _twist_column(True, length, n)
+
+
+def _torus_links(i: int, k: int) -> Iterator[tuple[int, tuple[int, LaurentPoly, LaurentPoly]]]:
+    """The terms of T(i, k, .) by the last link j = k_{i-1} <= k = k_i.
+
+    Yields (P, (e, w, T(i-1, j, P'))) with P = P' + j, where w q^(e/2) is
+    the link weight q^(j^2) [k + j - (i-1) + 2P'; k - j] of the mirror torus
+    sum.
+    """
+    for j in range(1, k + 1):
+        for prefix, value in _torus_column(i - 1, j).items():
+            yield prefix + j, (2 * j * j, qbinomial(k + j - i + 1 + 2 * prefix, k - j), value)
 
 
 @functools.lru_cache(maxsize=None)
+def _torus_column(i: int, k: int) -> dict[int, LaurentPoly]:
+    """{P: T(i, k, P)}: the sum over chains 1 <= k_1 <= ... <= k_i = k with
+    k_1 + ... + k_{i-1} = P of the first i - 1 link weights of the mirror
+    torus sum.  T depends on neither t nor n, so every T(2, 2t+1) shares it.
+    """
+    if i == 1:
+        return {0: _q(0)}
+    parts: dict[int, list] = {}
+    for prefix, term in _torus_links(i, k):
+        parts.setdefault(prefix, []).append(term)
+    return {prefix: _shifted_sum(terms) for prefix, terms in parts.items()}
+
+
 def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
     """a_n of the mirror of T(2, 2t+1), as a chain multi-sum.
 
@@ -200,20 +243,15 @@ def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
           sum_{n+1 = k_t >= ... >= k_1 >= 1}
           prod_{i=1}^{t-1} q^(k_i^2) [k_{i+1} + k_i - i + 2(k_1+...+k_{i-1}); k_{i+1} - k_i]
 
-    The q-binomial depends on the prefix sum, so the transfer state after
-    link i is (k_{i+1}, k_1 + ... + k_i).
+    The q-binomial depends on the prefix sum, so the sum is sum_P T(t, n+1, P)
+    over the memoized columns T(i, k, P) of _torus_column.  The top level is
+    summed on the fly rather than cached: it is used once per (t, n).
     """
     sign = -1 if n % 2 else 1
     top = n + 1
-
-    def step(i, state):
-        k, prefix = state
-        for k2 in (top,) if i == t - 1 else range(k, top + 1):
-            yield (k2, prefix + k), _q(2 * k * k) * qbinomial(k2 + k - i + 2 * prefix, k2 - k)
-
-    first = [(k, 0) for k in (range(1, top + 1) if t > 1 else (top,))]
-    sums = _chain_transfer(first, _q(0), t - 1, step)
-    return _q(n * (n + 1) + 2 * (top - t), sign) * sum(sums.values(), LaurentPoly.zero(("q",)))
+    _fill_below(_torus_column, t, top, low=1)
+    total = _shifted_sum(term for _, term in _torus_links(t, top)) if t > 1 else _q(0)
+    return _q(n * (n + 1) + 2 * (top - t), sign) * total
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import sys
+
 import pytest
 
+import cycloknot
 from cycloknot import invariants, knots, verify
 from cycloknot.exactring import CycNumber, LaurentPoly, eval_at_root, exact_div
 from cycloknot.knots import (
@@ -105,7 +110,7 @@ _TRANSFER_SITES = {
     "mirror_torus_a": (
         lambda t, n: habiro_a(parse_knot(f"!t2:{t}"), n),
         chain_oracle.mirror_torus_a,
-        [(t, n) for t in range(1, 6) for n in range(7)],
+        [(t, n) for t in range(1, 7) for n in range(7)],
     ),
     "torus_a": (
         lambda t, n: habiro_a(torus_two_strand(t), n),
@@ -135,6 +140,49 @@ def test_transfer_kernel_matches_enumeration(site):
     library, oracle, grid = _TRANSFER_SITES[site]
     for args in grid:
         assert library(*args) == oracle(*args), (site, args)
+
+
+# The knots of the habiro-generic benchmark workload, with the mirrors of its
+# torus slots.
+_GENERIC_KNOTS = ("dt:2,2", "dt:-2,3", "dt:3,3", "t2:4", "!t2:4", "!t2:5", "t2:5")
+
+
+def _memoized_functions() -> dict:
+    found = {}
+    for info in pkgutil.iter_modules(cycloknot.__path__, cycloknot.__name__ + "."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if hasattr(obj, "cache_info"):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+class TestSharedColumns:
+    """The chain sums share memoized columns across every top n."""
+
+    def test_order_of_n_does_not_change_values(self):
+        knots_ = [parse_knot(spec) for spec in _GENERIC_KNOTS]
+        cycloknot.clear_caches()
+        down = {(K, n): habiro_a(K, n) for K in knots_ for n in range(8, -1, -1)}
+        cycloknot.clear_caches()
+        up = {(K, n): habiro_a(K, n) for K in reversed(knots_) for n in range(9)}
+        assert down == up
+
+    def test_chains_deeper_than_the_recursion_limit(self):
+        length = 1100
+        assert length > sys.getrecursionlimit()
+        assert knots._chain_sum_plus(length, 1) == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
+        assert knots._chain_sum_minus(length, 1) == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
+        for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
+            assert habiro_a(parse_knot(spec), 0) == 1, spec
+
+    def test_clear_caches_empties_every_cache(self):
+        grid = [(parse_knot(spec), n) for spec in ("dt:2,2", "dt:-2,3", "t2:3", "!t2:4") for n in range(6)]
+        before = [habiro_a(K, n) for K, n in grid]
+        caches = _memoized_functions()
+        assert {"cycloknot.knots.habiro_a", "cycloknot.knots._torus_column", "cycloknot.qtools.qbinomial"} <= set(caches)
+        cycloknot.clear_caches()
+        assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
+        assert [habiro_a(K, n) for K, n in grid] == before
 
 
 class TestHabiroGoldens:
