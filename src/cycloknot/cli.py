@@ -75,6 +75,11 @@ def _check_root_order(p: int | None) -> None:
         raise UsageError(f"--p must be >= 1, got {p}")
 
 
+def _check_odd_order(p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise UsageError(f"--p must be odd and >= 3, got {p}")
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, LaurentPoly):
         return v.render_text()
@@ -194,8 +199,7 @@ def _cmd_ado(args) -> int:
 
 def _cmd_wrt(args) -> int:
     knot = _parse_knot_arg(args.knot)
-    if args.p < 3 or args.p % 2 == 0:
-        raise UsageError(f"--p must be odd and >= 3, got {args.p}")
+    _check_odd_order(args.p)
     if is_double_twist_family(knot):
         value = wrt_zero(knot, args.p)
     elif isinstance(knot, TorusTwoStrand):
@@ -227,8 +231,7 @@ def _cmd_wrt(args) -> int:
 
 def _cmd_cgp(args) -> int:
     knot = _parse_knot_arg(args.knot)
-    if args.p < 3 or args.p % 2 == 0:
-        raise UsageError(f"--p must be odd and >= 3, got {args.p}")
+    _check_odd_order(args.p)
     if is_double_twist_family(knot):
         result = cgp_zero(knot, args.p)
     elif isinstance(knot, TorusTwoStrand):

@@ -4,9 +4,15 @@ Two value types are provided.  CycNumber is an element of Z[zeta_m], stored as
 the unique residue modulo the m-th cyclotomic polynomial.  LaurentPoly is a
 sparse Laurent polynomial in one or two named variables whose exponents live
 in (1/2)*Z: every exponent is stored doubled, so a stored integer e means the
-mathematical exponent e/2.  A polynomial has either integer coefficients
-(order None) or coefficients in a single ring Z[zeta_m] (order m); mixing two
-cyclotomic orders is an error, lifting is always explicit via with_order().
+mathematical exponent e/2.
+
+The coefficient ring of a polynomial is its `order` alone: order None means
+every stored coefficient is an int, order m means every stored coefficient is
+a CycNumber of order m.  Integers promote into Z[zeta_m] implicitly, so an
+integer polynomial or scalar may meet an order-m polynomial in make, +, -, *,
+==, substitute and exact_div, and the result has order m.  The embedding
+Z[zeta_d] -> Z[zeta_m] for d | m stays explicit through with_order(); two
+different cyclotomic orders meeting is a ValueError.
 
 All values are immutable and all operations are pure.  Results are reduced to
 a canonical form: no zero coefficients, terms sorted by exponent vector,
@@ -53,12 +59,6 @@ class InexactDivisionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # dense integer polynomials (internal, used only for cyclotomic reduction)
 # ---------------------------------------------------------------------------
-
-
-def _dense_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _dense_exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -294,6 +294,10 @@ class CycNumber:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        # like an int, so that `not c` tests zero for either coefficient type
+        return any(self.coeffs)
+
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -464,11 +468,8 @@ def zeta(order: int, k: int = 1) -> CycNumber:
 Coeff = Union[int, CycNumber]
 
 
-def _coeff_is_zero(c: Coeff) -> bool:
-    return c == 0 if isinstance(c, int) else c.is_zero()
-
-
 def _coeff_pow(c: Coeff, k: int) -> Coeff:
+    """c**k for a caller's scalar: a substitution image or an evaluation value."""
     if isinstance(c, int):
         if c == 1:
             return 1
@@ -476,27 +477,28 @@ def _coeff_pow(c: Coeff, k: int) -> Coeff:
             return -1 if k % 2 else 1
         if k < 0:
             raise ValueError(f"{c} is not a unit; cannot raise to {k}")
-        return c**k
     return c**k
 
 
-def _coeff_exact_div(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise InexactDivisionError(f"{a} is not divisible by {b}")
-        return q
-    if isinstance(a, int):
-        a = CycNumber.from_int(b.order, a)  # type: ignore[union-attr]
-    return a.exact_div(b)
+def _order_of(c: Coeff) -> Optional[int]:
+    """The ring of a caller's scalar: None for an int, m for Z[zeta_m]."""
+    return c.order if isinstance(c, CycNumber) else None
 
 
 def _combine_orders(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The ring that holds both rings: integers promote into any Z[zeta_m]."""
     if a is None:
         return b
     if b is None or a == b:
         return a
     raise ValueError(f"cyclotomic order mismatch: {a} vs {b}; lift with with_order()")
+
+
+def _int_exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError(f"{a} is not divisible by {b}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -609,30 +611,18 @@ class LaurentPoly:
         if not 1 <= len(vs) <= 2 or len(set(vs)) != len(vs):
             raise ValueError(f"need one or two distinct variables, got {vs!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        resolved = order
         acc: dict[tuple[int, ...], Coeff] = {}
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(vs):
                 raise ValueError(f"exponent vector {exps} does not match {vs}")
             if isinstance(c, CycNumber):
-                if resolved is None:
-                    resolved = c.order
-                elif c.order != resolved:
-                    raise ValueError(
-                        f"mixed cyclotomic orders {c.order} and {resolved}; embed explicitly"
-                    )
-            if exps in acc:
-                acc[exps] = acc[exps] + c  # type: ignore[operator]
-            else:
-                acc[exps] = c
-        norm: dict[tuple[int, ...], Coeff] = {}
-        for exps, c in acc.items():
-            if resolved is not None and isinstance(c, int):
-                c = CycNumber.from_int(resolved, c)
-            if not _coeff_is_zero(c):
-                norm[exps] = c
-        return LaurentPoly(vs, tuple(sorted(norm.items())), resolved)
+                order = _combine_orders(order, c.order)
+            acc[exps] = acc[exps] + c if exps in acc else c  # type: ignore[operator]
+        norm = sorted((e, c) for e, c in acc.items() if c)
+        if order is not None:
+            norm = [(e, CycNumber.from_int(order, c) if isinstance(c, int) else c) for e, c in norm]
+        return LaurentPoly(vs, tuple(norm), order)
 
     @staticmethod
     def zero(variables: Iterable[str], order: Optional[int] = None) -> "LaurentPoly":
@@ -683,12 +673,9 @@ class LaurentPoly:
 
     # -- ring structure --------------------------------------------------------
 
-    def _wrap_scalar(self, c: Coeff) -> "LaurentPoly":
-        return LaurentPoly.const(self.variables, c)
-
     def __add__(self, other: Union[Coeff, "LaurentPoly"]) -> "LaurentPoly":
         if isinstance(other, (int, CycNumber)):
-            other = self._wrap_scalar(other)
+            other = LaurentPoly.const(self.variables, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.variables != other.variables:
@@ -712,14 +699,8 @@ class LaurentPoly:
 
     def __mul__(self, other: Union[Coeff, "LaurentPoly"]) -> "LaurentPoly":
         if isinstance(other, (int, CycNumber)):
-            if _coeff_is_zero(other):
-                order = self.order
-                if isinstance(other, CycNumber):
-                    order = _combine_orders(order, other.order)
-                return LaurentPoly.zero(self.variables, order)
-            return LaurentPoly.make(
-                self.variables, {e: c * other for e, c in self.terms}, None
-            )
+            order = _combine_orders(self.order, _order_of(other))
+            return LaurentPoly.make(self.variables, {e: c * other for e, c in self.terms}, order)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.variables != other.variables:
@@ -735,7 +716,7 @@ class LaurentPoly:
                 key = tuple(map(operator.add, e1, e2))
                 prod = c1 * c2
                 acc[key] = acc[key] + prod if key in acc else prod  # type: ignore[operator]
-        terms = tuple(sorted((e, c) for e, c in acc.items() if not _coeff_is_zero(c)))
+        terms = tuple(sorted((e, c) for e, c in acc.items() if c))
         return LaurentPoly(self.variables, terms, order)
 
     __rmul__ = __mul__
@@ -743,9 +724,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = LaurentPoly.const(self.variables, 1)
-        if self.order is not None:
-            result = result.with_order(self.order)
+        result = LaurentPoly.make(self.variables, {(0,) * len(self.variables): 1}, self.order)
         base = self
         while n:
             if n & 1:
@@ -759,7 +738,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, CycNumber)):
             if self.is_zero():
-                return _coeff_is_zero(other)
+                return not other
             if len(self.terms) != 1 or any(self.terms[0][0]):
                 return False
             return self.terms[0][1] == other
@@ -777,19 +756,20 @@ class LaurentPoly:
     # -- coefficient-domain maps -------------------------------------------------
 
     def with_order(self, order: int) -> "LaurentPoly":
-        """Lift all coefficients into Z[zeta_order]; existing orders must divide it."""
-        acc: dict[tuple[int, ...], Coeff] = {}
-        for e, c in self.terms:
-            acc[e] = c.embed(order) if isinstance(c, CycNumber) else CycNumber.from_int(order, c)
-        return LaurentPoly.make(self.variables, acc, order)
+        """Embed the coefficients into Z[zeta_order]; the current order must divide it."""
+        if self.order == order:
+            return self
+        if self.order is None:
+            return LaurentPoly.make(self.variables, self.terms, order)
+        terms = tuple((e, c.embed(order)) for e, c in self.terms)
+        return LaurentPoly(self.variables, terms, order)
 
     def galois(self, k: int) -> "LaurentPoly":
-        """Apply zeta -> zeta**k to every coefficient."""
-        return LaurentPoly.make(
-            self.variables,
-            {e: (c.galois(k) if isinstance(c, CycNumber) else c) for e, c in self.terms},
-            self.order,
-        )
+        """Apply zeta -> zeta**k to every coefficient; integers are fixed."""
+        if self.order is None:
+            return self
+        terms = tuple((e, c.galois(k)) for e, c in self.terms)
+        return LaurentPoly(self.variables, terms, self.order)
 
     # -- substitution and evaluation ----------------------------------------------
 
@@ -825,11 +805,9 @@ class LaurentPoly:
         else:
             new_vars = tuple(new_var if i == idx else v for i, v in enumerate(self.variables))
             tgt = idx
-        order = self.order
-        if isinstance(coeff, CycNumber):
-            order = _combine_orders(order, coeff.order)
+        order = _combine_orders(self.order, _order_of(coeff))
         acc: dict[tuple[int, ...], Coeff] = {}
-        trivial_coeff = isinstance(coeff, int) and coeff == 1
+        trivial_coeff = coeff == 1
         for exps, c in self.terms:
             e = exps[idx]
             if trivial_coeff:
@@ -891,6 +869,7 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         parts = []
+        cyclotomic = self.order is not None
         for exps, c in sorted(self.terms, reverse=True):
             monos = []
             for v, e in zip(self.variables, exps):
@@ -902,11 +881,11 @@ class LaurentPoly:
                 else:
                     monos.append(f"{v}^({e}/2)")
             mono = "*".join(monos)
-            if isinstance(c, CycNumber) and not c.is_integer():
+            if cyclotomic and not c.is_integer():
                 cs = f"({c.render()})"
                 sign = "+"
             else:
-                n = c if isinstance(c, int) else c.as_int()
+                n = c.as_int() if cyclotomic else c
                 sign = "-" if n < 0 else "+"
                 cs = str(abs(n))
             if mono:
@@ -926,14 +905,11 @@ class LaurentPoly:
         return f"LaurentPoly({'*'.join(self.variables)}: {self.render_text()!r})"
 
     def to_json_obj(self) -> dict:
-        return {
-            "vars": list(self.variables),
-            "den": 2,
-            "terms": [
-                [list(exps), c if isinstance(c, int) else c.to_json_obj()]
-                for exps, c in self.terms
-            ],
-        }
+        if self.order is None:
+            terms = [[list(exps), c] for exps, c in self.terms]
+        else:
+            terms = [[list(exps), c.to_json_obj()] for exps, c in self.terms]
+        return {"vars": list(self.variables), "den": 2, "terms": terms}
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "LaurentPoly":
@@ -978,19 +954,20 @@ def eval_at_root(
             f"order {target} cannot hold the value: half-integer exponents need "
             f"the even lift of order {natural}"
         )
+    if f.order is not None:
+        if target % f.order:
+            raise ValueError(f"order {f.order} does not divide {target}")
+        step = target // f.order
     pairs: list[tuple[int, int]] = []
     for (e,), c in f.terms:
         num = k * e * target
         if num % (2 * m):
             raise ValueError("exponent does not land in the target ring")
         shift = num // (2 * m)
-        if isinstance(c, CycNumber):
-            if target % c.order:
-                raise ValueError(f"order {c.order} does not divide {target}")
-            step = target // c.order
-            pairs.extend((shift + i * step, ci) for i, ci in enumerate(c.coeffs) if ci)
-        else:
+        if f.order is None:
             pairs.append((shift, c))
+        else:
+            pairs.extend((shift + i * step, ci) for i, ci in enumerate(c.coeffs) if ci)
     return CycNumber.from_powers(target, pairs)
 
 
@@ -1003,11 +980,13 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     order = _combine_orders(num.order, den.order)
+    if order is None:
+        div = _int_exact_div
+    else:
+        num, den, div = num.with_order(order), den.with_order(order), CycNumber.exact_div
     if len(den.terms) == 1 and not any(den.terms[0][0]):
         d = den.terms[0][1]
-        return LaurentPoly.make(
-            num.variables, {e: _coeff_exact_div(c, d) for e, c in num.terms}, order
-        )
+        return LaurentPoly.make(num.variables, {e: div(c, d) for e, c in num.terms}, order)
     if len(num.variables) != 1 or num.variables != den.variables:
         raise ValueError("non-constant division needs matching univariate polynomials")
     if num.is_zero():
@@ -1022,13 +1001,13 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         rlead_e = max(rem)
         if rlead_e < dlead_e:
             raise InexactDivisionError("nonzero remainder in polynomial division")
-        q = _coeff_exact_div(rem[rlead_e], dlead_c)
+        q = div(rem[rlead_e], dlead_c)
         qe = rlead_e - dlead_e
         quo[qe] = q
         for de, dc in dterms:
             key = de + qe
             val = rem.get(key, 0) - dc * q
-            if _coeff_is_zero(val):
+            if not val:
                 rem.pop(key, None)
             else:
                 rem[key] = val

@@ -18,7 +18,6 @@ from .exactring import (
     CycNumber,
     InexactDivisionError,
     LaurentPoly,
-    eval_at_root,
     exact_div,
     zeta,
 )
@@ -27,7 +26,6 @@ from .knots import (
     Mirror,
     TorusTwoStrand,
     a_at_root,
-    alexander,
     habiro_c,
     is_double_twist_family,
     knot_str,
@@ -223,12 +221,12 @@ def ado_conjectural(s: int, t: int, p: int) -> AdoPoly:
     pref = LaurentPoly.univar(
         "x", {1 - (s - 1) * (t - 1) * p: zeta(M, (s * t) ** 2 - s * s - t * t)}
     )
-    num = pref * (LaurentPoly.univar("x", {0: 1, 2 * p: -1}).with_order(M)) * series
+    num = pref * LaurentPoly.univar("x", {0: 1, 2 * p: -1}) * series
     den = (
         LaurentPoly.univar("x", {0: 1, 2: -1})
         * LaurentPoly.univar("x", {0: 1, 2 * s * p: -1})
         * LaurentPoly.univar("x", {0: 1, 2 * t * p: -1})
-    ).with_order(M)
+    )
     poly = exact_div(num, den)
     knot = TorusTwoStrand((t - 1) // 2) if s == 2 and t % 2 == 1 and t >= 3 else None
     return AdoPoly(knot, p, poly)
@@ -438,7 +436,7 @@ def verify_thm3(knot: KnotSpec, p: int, exploratory: bool = False) -> InvariantR
         wrt = wrt_torus_direct(_torus_t(knot), p)
     a_top = a_at_root(knot, p - 1, p).embed(2 * p)
     rhs = (
-        LaurentPoly.univar("u", {4 * p: 1, -4 * p: 1, 0: -2}).with_order(2 * p) * (p * a_top)
+        LaurentPoly.univar("u", {4 * p: 1, -4 * p: 1, 0: -2}) * (p * a_top)
         + LaurentPoly.univar("u", {0: wrt})
     )
     params = {"knot": knot_str(knot), "p": p, "exploratory": exploratory}
@@ -576,9 +574,7 @@ def verify_T_claim(t: int, p: int) -> InvariantReport:
     params = {"t": t, "p": p}
     try:
         bare_r, _ = extract_T(result.numerator, p)
-        normalized = result.numerator * LaurentPoly.univar(
-            "u", {4 * (p - 1) * t: 1}
-        ).with_order(2 * p)
+        normalized = result.numerator * LaurentPoly.univar("u", {4 * (p - 1) * t: 1})
         r, g = extract_T(normalized, p)
     except MixedResidueError as exc:
         return InvariantReport(

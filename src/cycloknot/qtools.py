@@ -173,7 +173,7 @@ def bracket_poly(m: int, p: int) -> LaurentPoly:
 
 def _check_monic_in_w(f: LaurentPoly, degree: int) -> None:
     """Assert f = w**degree + lower order terms for w = v**2 + v**-2."""
-    w = LaurentPoly.univar("v", {4: 1, -4: 1}).with_order(f.order)
+    w = LaurentPoly.univar("v", {4: 1, -4: 1})
     rem = f
     seen_degree = -1
     while not rem.is_zero():

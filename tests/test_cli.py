@@ -133,6 +133,7 @@ class TestUsageErrors:
             ["cgp", "--knot", "!t2:2", "--p", "3"],
             ["verify", "--suite", "thm2", "--p", "0"],
             ["verify", "--suite", "thm2", "--knot", "zz"],
+            ["cgp", "--knot", "dt:1,1", "--p", "4"],
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, capsys, argv):

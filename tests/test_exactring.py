@@ -112,6 +112,12 @@ class TestCycNumber:
         with pytest.raises(ZeroDivisionError):
             CycNumber.from_int(5, 1).exact_div(CycNumber.zero(5))
 
+    def test_truthiness_is_nonzero(self):
+        # like an int: zero is falsy, including a sum that reduces to zero
+        assert not CycNumber.zero(5)
+        assert not sum((zeta(5, k) for k in range(5)), CycNumber.zero(5))
+        assert zeta(5) and CycNumber.from_int(5, -1)
+
     def test_serialization_round_trip(self):
         a = zeta(12, 5) - 3 * zeta(12, 2) + 7
         blob = json.dumps(a.to_json_obj())
@@ -312,6 +318,21 @@ class TestLaurentPoly:
             "x", {0: zeta(12, 4) + zeta(12, 3)}
         )
 
+    def test_scalar_product_keeps_the_ring_of_zero(self):
+        zero5 = LaurentPoly.zero(("x",), 5)
+        assert (zero5 * 3).order == 5
+        assert (zero5 * zeta(5)).order == 5
+        assert (3 * zero5).order == 5
+        assert (LaurentPoly.zero(("x",)) * zeta(5)).order == 5
+        with pytest.raises(ValueError):
+            zero5 * zeta(3)
+
+    def test_integers_promote_into_the_ring(self):
+        f = LaurentPoly.make(("x",), {(0,): 2, (2,): zeta(5)})
+        assert f.order == 5 and f.terms == (((0,), 2), ((2,), zeta(5)))
+        assert_one_ring(f)
+        assert_one_ring(LaurentPoly.univar("x", {0: 1}, 5))
+
     def test_serialization_round_trip_bit_exact(self):
         f = LaurentPoly.make(("x", "q"), {(1, -2): 4, (0, 0): -7, (3, 5): 1})
         blob = json.dumps(f.to_json_obj())
@@ -353,6 +374,67 @@ class TestLaurentProperties:
         if g.is_zero():
             return
         assert exact_div(f * g, g) == f
+
+
+def assert_one_ring(h):
+    """Every stored coefficient lies in the ring that h.order names."""
+    if h.order is None:
+        assert all(type(c) is int for _, c in h.terms)
+    else:
+        assert all(isinstance(c, CycNumber) and c.order == h.order for _, c in h.terms)
+
+
+@st.composite
+def promotion_cases(draw):
+    """An integer polynomial f and a polynomial g over Z[zeta_m], both in x."""
+    m = draw(orders)
+    exps = st.integers(-4, 4)
+    f = LaurentPoly.univar("x", draw(st.dictionaries(exps, small_ints, max_size=4)))
+    g = LaurentPoly.univar("x", draw(st.dictionaries(exps, cyc_numbers(m), max_size=3)), m)
+    return f, g, m
+
+
+class TestIntegerPromotion:
+    """An integer operand gives the same result as its explicit lift with_order(m)."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(promotion_cases(), small_ints)
+    def test_operators_match_the_explicit_lift(self, case, k):
+        f, g, m = case
+        lifted = f.with_order(m)
+        assert_one_ring(lifted)
+        ops = (
+            lambda a, b: a + b,
+            lambda a, b: b + a,
+            lambda a, b: a - b,
+            lambda a, b: b - a,
+            lambda a, b: a * b,
+            lambda a, b: b * a,
+        )
+        for op in ops:
+            got, want = op(f, g), op(lifted, g)
+            assert_one_ring(got)
+            assert got.order == m and got == want
+            assert got.to_json_obj() == want.to_json_obj()
+        assert (f == g) == (lifted == g)
+        for got, want in ((g + k, g + CycNumber.from_int(m, k)), (g * k, g * CycNumber.from_int(m, k))):
+            assert_one_ring(got)
+            assert got.order == m and got.to_json_obj() == want.to_json_obj()
+
+    @settings(deadline=None, max_examples=60)
+    @given(promotion_cases())
+    def test_exact_div_matches_the_explicit_lift(self, case):
+        f, g, m = case
+        lifted = f.with_order(m)
+        if not g.is_zero():
+            got, want = exact_div(f * g, g), exact_div(lifted * g, g)
+            assert_one_ring(got)
+            assert got.order == m and got == want == lifted
+            assert got.to_json_obj() == want.to_json_obj()
+        if not f.is_zero():
+            got, want = exact_div(g * f, f), exact_div(g * f, lifted)
+            assert_one_ring(got)
+            assert got == want == g and got.to_json_obj() == want.to_json_obj()
 
 
 def schoolbook_mul(f, g):
