@@ -18,28 +18,33 @@ All values are immutable and all operations are pure.  Results are reduced to
 a canonical form: no zero coefficients, terms sorted by exponent vector,
 cyclotomic residues fully reduced.
 
-Kernels.  A product of two integer-coefficient polynomials is computed by
-Kronecker substitution: each operand is shifted to exponent 0, its exponents
-are divided by their common gcd, and its coefficients are packed as balanced
-base-2**(8*width) digits of one Python int (bivariate operands row by row,
-with a row stride wide enough that the two variables never wrap into each
-other).  One bigint product, which CPython does by Karatsuba, then replaces
-the term-pair loop, and the product is unpacked digit by digit.  Packing goes
-through bytes, never decimal strings, so coefficient size is unlimited.
+Kernels.  Every reduction modulo the m-th cyclotomic polynomial goes through
+_reduce, which maps an unreduced vector of powers of zeta to the canonical
+basis with a memoized sparse table of the residues of zeta**e, e >= phi(m).
+A product of two polynomials takes one of three shapes:
 
-The term-pair loop remains for two kinds of product.  Coefficients in
-Z[zeta_m] use it because at the orders the library reaches (up to several
-hundred) they are sparse in zeta, so packing zeta as a further dimension was
-measured to be no faster on the verify suites and 1.5x slower on the
-at-root invariants.  Integer products whose packed layout would hold more
-digits than the operands have term pairs use it too: a short factor times a
-polynomial with uneven gaps, or a wide gap as in (1 + x**(10**9)) * (1 + x).
-There the loop costs no more than packing, and the packed layout would take
-memory in proportion to the gaps.
+- A one-term factor (or a scalar) is an exponent shift and a scalar
+  multiply: Z and Z[zeta_m] are integral domains and a shift keeps the term
+  order, so nothing is dropped or sorted.
+- Other integer products use Kronecker substitution: each operand is shifted
+  to exponent 0, its exponents are divided by their common gcd, and its
+  coefficients become balanced base-2**(8*width) digits of one Python int
+  (bivariate operands row by row, with a row stride wide enough that the
+  variables never wrap into each other).  One bigint product replaces the
+  term-pair loop.  Packing goes through bytes, so coefficient size is
+  unlimited.
+- Every other product goes by term pairs, adding each pair's unreduced
+  convolution into one power vector per product exponent; each vector is
+  reduced once, per output term rather than per pair, and dropped if it
+  reduces to 0.  Products over Z[zeta_m] take this shape (their coefficients
+  are sparse in zeta, and packing zeta too was measured to be slower), as do
+  integer products whose packed layout would hold more digits than there are
+  term pairs, such as (1 + x**(10**9)) * (1 + x).
 
-CycNumber.exact_div by a unit +-zeta**k is an index shift, found through a
-memoized reverse index of the reduced powers of zeta; every other non-integer
-divisor is solved by fraction-free (Bareiss) integer elimination.
+A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
+shift; such units are found through a memoized reverse index of the reduced
+powers of zeta.  Other non-integer divisors are solved by fraction-free
+(Bareiss) integer elimination.
 """
 
 from __future__ import annotations
@@ -113,6 +118,42 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
             for i in range(deg):
                 cur[i] -= top * phi_coeffs[i]
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e - phi(m) lists the nonzero (i, c) of the residue of zeta_m**e, phi(m) <= e < 2m."""
+    rows = _power_rows(m)
+    return tuple(
+        tuple((i, c) for i, c in enumerate(rows[e % m]) if c) for e in range(euler_phi(m), 2 * m)
+    )
+
+
+def _reduce(m: int, powers: list[int]) -> tuple[int, ...]:
+    """Canonical coordinates of sum(powers[e] * zeta_m**e), for phi(m) <= len(powers) <= 2m.
+
+    The one reduction modulo Phi_m: from_powers, CycNumber products and
+    LaurentPoly products all reach the canonical basis through it.
+    """
+    phi = euler_phi(m)
+    acc = powers[:phi]
+    for c, row in zip(powers[phi:], _reduction_rows(m)):
+        if c:
+            for i, r in row:
+                acc[i] += c * r
+    return tuple(acc)
+
+
+def _nonzero(coords: Iterable[int]) -> list[tuple[int, int]]:
+    """The (index, coordinate) pairs of the nonzero coordinates."""
+    return [(i, c) for i, c in enumerate(coords) if c]
+
+
+def _convolve_into(acc: list[int], a: list[tuple[int, int]], b: list[tuple[int, int]]) -> None:
+    """Add the unreduced product of two sparse power vectors into acc."""
+    for i, x in a:
+        for j, y in b:
+            acc[i + j] += x * y
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,17 +253,7 @@ class CycNumber:
         buckets = [0] * order
         for e, c in items:
             buckets[e % order] += c
-        # zeta**e is a basis vector for e < phi; only the higher powers reduce
-        phi = euler_phi(order)
-        acc = buckets[:phi]
-        rows = _power_rows(order)
-        for e in range(phi, order):
-            c = buckets[e]
-            if c:
-                for i, r in enumerate(rows[e]):
-                    if r:
-                        acc[i] += c * r
-        return CycNumber(order, tuple(acc))
+        return CycNumber(order, _reduce(order, buckets))
 
     @staticmethod
     def root(order: int, k: int = 1) -> CycNumber:
@@ -266,18 +297,18 @@ class CycNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        phi = len(self.coeffs)
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return CycNumber.from_powers(self.order, enumerate(conv))
+        conv = [0] * (2 * len(self.coeffs) - 1)
+        _convolve_into(conv, _nonzero(self.coeffs), _nonzero(other.coeffs))
+        return CycNumber(self.order, _reduce(self.order, conv))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CycNumber":
+        unit = self._unit_exponent(self)
+        if unit is not None:
+            # (sign * zeta**k)**n is one index shift, for either sign of n
+            k, sign = unit
+            return CycNumber.from_powers(self.order, ((k * n, -1 if sign < 0 and n % 2 else 1),))
         if n < 0:
             return self.inverse() ** (-n)
         result = CycNumber.from_int(self.order, 1)
@@ -466,6 +497,7 @@ def zeta(order: int, k: int = 1) -> CycNumber:
 
 
 Coeff = Union[int, CycNumber]
+_Terms = tuple[tuple[tuple[int, ...], Coeff], ...]
 
 
 def _coeff_pow(c: Coeff, k: int) -> Coeff:
@@ -502,7 +534,7 @@ def _int_exact_div(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed products of integer-coefficient polynomials (Kronecker substitution)
+# polynomial product kernels
 # ---------------------------------------------------------------------------
 
 
@@ -579,6 +611,51 @@ def _unpack(value: int, size: int, width: int) -> list[int]:
     value += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
     buf = memoryview(value.to_bytes(size * width, "little"))
     return [int.from_bytes(buf[i : i + width], "little") - half for i in range(0, size * width, width)]
+
+
+def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:
+    """The canonical terms times the monomial with coefficient c != 0 and exponents shift.
+
+    Z and Z[zeta_m] are integral domains, so no coefficient vanishes, and a
+    shift keeps the lexicographic order, so nothing is dropped or sorted.
+    """
+    if len(shift) == 1:
+        (s,) = shift
+        return tuple([((e + s,), d * c) for (e,), d in terms])
+    s, t = shift
+    return tuple([((e + s, f + t), d * c) for (e, f), d in terms])
+
+
+def _sparse_coords(terms: _Terms) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """Each term's exponents with the nonzero coordinates of its coefficient."""
+    return [(e, _nonzero(c.coeffs) if isinstance(c, CycNumber) else [(0, c)]) for e, c in terms]
+
+
+def _pair_mul(t1: _Terms, t2: _Terms, m: Optional[int]) -> _Terms:
+    """Canonical terms of the product of two canonical term tuples, pair by pair.
+
+    Each term pair's coefficient product is added, unreduced, into one power
+    vector per product exponent.  Over Z[zeta_m] each vector is then reduced
+    mod Phi_m once (integer coefficients promote here); over Z (m None) it
+    has one entry.  A sum that is 0 is dropped.
+    """
+    size = 1 if m is None else 2 * euler_phi(m) - 1
+    s2 = _sparse_coords(t2)
+    bufs: dict[tuple[int, ...], list[int]] = {}
+    for e1, a in _sparse_coords(t1):
+        for e2, b in s2:
+            key = tuple(map(operator.add, e1, e2))
+            buf = bufs.get(key)
+            if buf is None:
+                buf = bufs[key] = [0] * size
+            _convolve_into(buf, a, b)
+    out = []
+    for key in sorted(bufs):
+        buf = bufs[key]
+        c = buf[0] if m is None else CycNumber(m, _reduce(m, buf))
+        if c:
+            out.append((key, c))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +757,15 @@ class LaurentPoly:
             return NotImplemented
         if self.variables != other.variables:
             raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
-        order = _combine_orders(self.order, other.order)
+        if self.order != other.order:
+            # an integer operand promotes through make
+            order = _combine_orders(self.order, other.order)
+            return LaurentPoly.make(self.variables, self.terms + other.terms, order)
         acc = dict(self.terms)
         for exps, c in other.terms:
             acc[exps] = acc[exps] + c if exps in acc else c  # type: ignore[operator]
-        return LaurentPoly.make(self.variables, acc, order)
+        terms = tuple(sorted((e, c) for e, c in acc.items() if c))
+        return LaurentPoly(self.variables, terms, self.order)
 
     __radd__ = __add__
 
@@ -700,23 +781,24 @@ class LaurentPoly:
     def __mul__(self, other: Union[Coeff, "LaurentPoly"]) -> "LaurentPoly":
         if isinstance(other, (int, CycNumber)):
             order = _combine_orders(self.order, _order_of(other))
-            return LaurentPoly.make(self.variables, {e: c * other for e, c in self.terms}, order)
+            if not other:
+                return LaurentPoly.zero(self.variables, order)
+            shift = (0,) * len(self.variables)
+            return LaurentPoly(self.variables, _shift_mul(self.terms, shift, other), order)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.variables != other.variables:
             raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
         order = _combine_orders(self.order, other.order)
-        if order is None:
-            packed = _kronecker_mul(self.terms, other.terms)
-            if packed is not None:
-                return LaurentPoly(self.variables, packed, None)
-        acc: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(map(operator.add, e1, e2))
-                prod = c1 * c2
-                acc[key] = acc[key] + prod if key in acc else prod  # type: ignore[operator]
-        terms = tuple(sorted((e, c) for e, c in acc.items() if c))
+        t1, t2 = sorted((self.terms, other.terms), key=len)
+        if not t1:
+            terms = ()
+        elif len(t1) == 1:
+            terms = _shift_mul(t2, *t1[0])
+        elif order is None and (packed := _kronecker_mul(t1, t2)) is not None:
+            terms = packed
+        else:
+            terms = _pair_mul(t1, t2, order)
         return LaurentPoly(self.variables, terms, order)
 
     __rmul__ = __mul__

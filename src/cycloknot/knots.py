@@ -27,10 +27,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
-from .qtools import _q, qbinomial, qbinomial_at_root, qpochhammer
+from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +172,6 @@ def _shifted_sum(terms: Iterable[tuple[int, LaurentPoly, LaurentPoly]]) -> Laure
     return LaurentPoly(("q",), tuple([((x,), c) for x, c in sorted(acc.items()) if c]), None)
 
 
-def _fill_below(column: Callable[[int, int], object], level: int, top: int, low: int = 0) -> None:
-    """Evaluate the memoized column(i, k) for 2 <= i < level and low <= k <= top.
-
-    Levels go lowest first, so each new entry finds the level below it
-    cached and the Python stack does not grow with the chain length.
-    """
-    for i in range(2, level):
-        for k in range(low, top + 1):
-            column(i, k)
-
-
 @functools.lru_cache(maxsize=None)
 def _twist_column(minus: bool, length: int, n: int) -> LaurentPoly:
     """_chain_sum_plus (or _chain_sum_minus) by its last link k = k_{length-1}:
@@ -200,13 +189,13 @@ def _twist_column(minus: bool, length: int, n: int) -> LaurentPoly:
 
 def _chain_sum_plus(length: int, n: int) -> LaurentPoly:
     """sum over n = k_length >= ... >= k_1 >= 0 of prod q^(k_i(k_i+1)) [k_{i+1}; k_i]."""
-    _fill_below(functools.partial(_twist_column, False), length, n)
+    _fill_below(functools.partial(_twist_column, False), length, lambda i: range(n + 1))
     return _twist_column(False, length, n)
 
 
 def _chain_sum_minus(length: int, n: int) -> LaurentPoly:
     """Like _chain_sum_plus but with the factors q^(-k_i(k_{i+1}+1))."""
-    _fill_below(functools.partial(_twist_column, True), length, n)
+    _fill_below(functools.partial(_twist_column, True), length, lambda i: range(n + 1))
     return _twist_column(True, length, n)
 
 
@@ -249,7 +238,7 @@ def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
     """
     sign = -1 if n % 2 else 1
     top = n + 1
-    _fill_below(_torus_column, t, top, low=1)
+    _fill_below(_torus_column, t, lambda i: range(1, top + 1))
     total = _shifted_sum(term for _, term in _torus_links(t, top)) if t > 1 else _q(0)
     return _q(n * (n + 1) + 2 * (top - t), sign) * total
 

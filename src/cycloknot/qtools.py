@@ -4,13 +4,17 @@ products and brace polynomials, at generic q and at roots of unity.
 Polynomials at generic q live in the variable q; the bivariate products use
 (x, q).  Values at a root of unity are CycNumber elements, or polynomials in
 x over a cyclotomic ring for the specialized sigma products.  Everything is
-exact; memoized results are immutable and shared.
+exact; memoized results are immutable and shared.  A memoized recursion
+first fills the levels below the one asked for, lowest first, so a cold
+cache needs no Python stack depth that grows with n.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterable
+from typing import Optional
 
 from .exactring import CycNumber, LaurentPoly, eval_at_root, zeta
 
@@ -18,6 +22,23 @@ from .exactring import CycNumber, LaurentPoly, eval_at_root, zeta
 def _q(e2: int, c: int = 1) -> LaurentPoly:
     """Monomial c * q**(e2/2), in the doubled-exponent convention."""
     return LaurentPoly.univar("q", {e2: c})
+
+
+def _fill_below(
+    cell: Callable[..., object], level: int, keys: Optional[Callable[[int], Iterable[int]]] = None
+) -> None:
+    """Evaluate the memoized cell(i, k) for 1 <= i < level and k in keys(i),
+    or cell(i) when keys is None.
+
+    Levels go lowest first, so each new entry finds the level below it
+    cached and the Python stack does not grow with the level.
+    """
+    for i in range(1, level):
+        if keys is None:
+            cell(i)
+        else:
+            for k in keys(i):
+                cell(i, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,6 +56,7 @@ def qfactorial(n: int) -> LaurentPoly:
         raise ValueError(f"q-factorial needs n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.univar("q", {0: 1})
+    _fill_below(qfactorial, n)
     return qfactorial(n - 1) * qint(n)
 
 
@@ -47,6 +69,8 @@ def qbinomial(n: int, k: int) -> LaurentPoly:
         return LaurentPoly.zero(("q",))
     if k == 0 or k == n:
         return LaurentPoly.univar("q", {0: 1})
+    # the cells of lower rows that the Pascal recursion reaches
+    _fill_below(qbinomial, n, lambda i: range(max(0, k - n + i), min(k, i) + 1))
     return qbinomial(n - 1, k - 1) + _q(2 * k) * qbinomial(n - 1, k)
 
 
@@ -68,6 +92,7 @@ def qpochhammer(n: int) -> LaurentPoly:
         raise ValueError(f"q-Pochhammer needs n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.univar("q", {0: 1})
+    _fill_below(qpochhammer, n)
     return qpochhammer(n - 1) * (_q(0) - _q(2 * n))
 
 
@@ -128,16 +153,18 @@ def sigma(m: int) -> LaurentPoly:
 
 @functools.lru_cache(maxsize=None)
 def sigma_at_root(m: int, p: int) -> LaurentPoly:
-    """sigma_m(x, zeta_p) as a polynomial in x over Z[zeta_p]."""
+    """sigma_m(x, zeta_p) as a polynomial in x over Z[zeta_p].
+
+    sigma_m = sigma_{m-1} * (x + x**-1 - zeta**m - zeta**-m), so every
+    m shares the products of the smaller ones.
+    """
     if m < 0 or p < 1:
         raise ValueError(f"need m >= 0 and p >= 1, got m={m}, p={p}")
-    acc = LaurentPoly.univar("x", {0: CycNumber.from_int(p, 1)})
-    for i in range(1, m + 1):
-        acc = acc * LaurentPoly.univar(
-            "x", {2: CycNumber.from_int(p, 1), -2: CycNumber.from_int(p, 1),
-                  0: -(zeta(p, i) + zeta(p, -i))}
-        )
-    return acc
+    if m == 0:
+        return LaurentPoly.univar("x", {0: 1}, p)
+    _fill_below(sigma_at_root, m, lambda i: (p,))
+    factor = LaurentPoly.univar("x", {2: 1, -2: 1, 0: -(zeta(p, m) + zeta(p, -m))}, p)
+    return sigma_at_root(m - 1, p) * factor
 
 
 def brace(j: int, p: int, lam_coeff: int = 0, var: str = "u"):

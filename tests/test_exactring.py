@@ -118,6 +118,11 @@ class TestCycNumber:
         assert not sum((zeta(5, k) for k in range(5)), CycNumber.zero(5))
         assert zeta(5) and CycNumber.from_int(5, -1)
 
+    def test_zero_has_no_negative_powers(self):
+        with pytest.raises(ZeroDivisionError):
+            CycNumber.zero(5) ** -1
+        assert CycNumber.zero(5) ** 0 == 1
+
     def test_serialization_round_trip(self):
         a = zeta(12, 5) - 3 * zeta(12, 2) + 7
         blob = json.dumps(a.to_json_obj())
@@ -173,6 +178,41 @@ class TestCycProperties:
         assert (a + b).embed(m) == a.embed(m) + b.embed(m)
         assert (a * b).embed(m) == a.embed(m) * b.embed(m)
         assert (a.embed(m) == b.embed(m)) == (a == b)
+
+
+def repeated_power(base, n):
+    """Oracle for CycNumber.__pow__: |n| multiplications by base, or by base.inverse()."""
+    factor = base if n >= 0 else base.inverse()
+    out = CycNumber.from_int(base.order, 1)
+    for _ in range(abs(n)):
+        out = out * factor
+    return out
+
+
+class TestCycPowers:
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 15]), st.integers(-30, 30), st.sampled_from([1, -1]),
+           st.integers(-7, 7))
+    def test_unit_powers_match_repeated_multiplication(self, m, k, sign, n):
+        # at odd m, -zeta**k is no power of zeta
+        base = zeta(m, k) * sign
+        assert base**n == repeated_power(base, n)
+        assert base**n == zeta(m, k * n) * (sign if n % 2 else 1)
+
+    @pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 5])
+    def test_a_unit_that_is_no_root_of_unity(self, n):
+        # 1 + zeta_5 is a unit (its inverse is -zeta_5 - zeta_5**3), not +-zeta**k
+        base = 1 + zeta(5)
+        assert CycNumber._unit_exponent(base) is None
+        assert base**n == repeated_power(base, n)
+
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    def test_non_unit_powers(self, m):
+        base = 2 + zeta(m)
+        for n in range(6):
+            assert base**n == repeated_power(base, n)
+        with pytest.raises(InexactDivisionError):
+            base**-1
 
 
 class TestCycDivisionAndHash:
@@ -495,6 +535,102 @@ class TestPackedProduct:
         g = LaurentPoly.univar("x", {2: 1, 0: 1})
         assert _kronecker_mul(f.terms, g.terms) is None
         assert f * g == LaurentPoly.univar("x", {2 * 10**9 + 2: 1, 2 * 10**9: 1, 2: 1, 0: 1})
+
+
+def per_pair_reduced_mul(f, g):
+    """Labelled oracle for LaurentPoly products over Z[zeta_m]: the per-pair loop.
+
+    This is the product as computed before the one-reduction kernel: every
+    term pair's coefficient product is reduced mod Phi_m on its own, here by
+    long division by the cyclotomic polynomial, and then added.  It shares
+    no reduction code with the kernel under test.
+    """
+    m = f.order or g.order
+    phi = cyclotomic_coeffs(m)
+    deg = len(phi) - 1
+
+    def coords(c):
+        return c.coeffs if isinstance(c, CycNumber) else (c,) + (0,) * (deg - 1)
+
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            prod = [0] * (2 * deg - 1)
+            for i, x in enumerate(coords(c1)):
+                for j, y in enumerate(coords(c2)):
+                    prod[i + j] += x * y
+            for top in range(len(prod) - 1, deg - 1, -1):
+                lead = prod[top]
+                for i, d in enumerate(phi):
+                    prod[top - deg + i] -= lead * d
+            key = tuple(a + b for a, b in zip(e1, e2))
+            total = acc.get(key, (0,) * deg)
+            acc[key] = tuple(a + b for a, b in zip(total, prod))
+    return tuple(sorted((key, CycNumber(m, c)) for key, c in acc.items() if any(c)))
+
+
+KERNEL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 12, 14, 15, 46]
+
+
+@st.composite
+def kernel_operands(draw, order, nvars):
+    """A polynomial in x (and q) over Z[zeta_order], or over Z for order None."""
+    exps = st.tuples(*[st.integers(-5, 5)] * nvars)
+    if order is None:
+        coeffs = small_ints
+    else:
+        deg = euler_phi(order)
+        # sparse in zeta, as the library's coefficients mostly are, or dense
+        coords = st.dictionaries(st.integers(0, deg - 1), small_ints, min_size=1, max_size=min(deg, 6))
+        coeffs = coords.map(lambda d: CycNumber(order, tuple(d.get(i, 0) for i in range(deg))))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=draw(st.sampled_from([1, 1, 2, 4, 7]))))
+    return LaurentPoly.make(("x", "q")[:nvars], {tuple(2 * e for e in k): c for k, c in terms.items()}, order)
+
+
+@st.composite
+def kernel_pairs(draw):
+    m = draw(st.sampled_from(KERNEL_ORDERS))
+    nvars = draw(st.integers(1, 2))
+    orders = draw(st.sampled_from([(m, m), (None, m), (m, None)]))
+    return tuple(draw(kernel_operands(order, nvars)) for order in orders)
+
+
+def assert_canonical(h):
+    exps = [e for e, _ in h.terms]
+    assert exps == sorted(set(exps))
+    assert all(c for _, c in h.terms)
+    assert_one_ring(h)
+
+
+class TestCyclotomicProductKernel:
+    @settings(deadline=None, max_examples=200)
+    @given(kernel_pairs())
+    def test_matches_per_pair_reduced_oracle(self, pair):
+        f, g = pair
+        expected = per_pair_reduced_mul(f, g)
+        for h in (f * g, g * f):
+            assert_canonical(h)
+            assert h.terms == expected
+            assert h.order == (f.order or g.order)
+
+    def test_buffer_that_reduces_to_zero_is_dropped(self):
+        # the x buffer is 1 + zeta + ... + zeta**4, which is 0 in Z[zeta_5]
+        z = zeta(5)
+        f = LaurentPoly.univar("x", {2: z**2, 0: 1})
+        g = LaurentPoly.univar("x", {0: z**2, 2: 1 + z + z**2 + z**3})
+        expected = LaurentPoly.univar("x", {4: -z, 0: z**2})
+        for h in (f * g, g * f):
+            assert_canonical(h)
+            assert h == expected and h.terms == per_pair_reduced_mul(f, g)
+            assert h.coefficient((2,)).is_zero()
+
+    def test_one_term_factors_shift(self):
+        f = LaurentPoly.make(("x", "q"), {(2, -1): zeta(7, 3), (0, 4): 2, (-2, 0): zeta(7, 6)}, 7)
+        mono = LaurentPoly.make(("x", "q"), {(4, 3): -zeta(7, 2)})
+        expected = LaurentPoly.make(("x", "q"), {(6, 2): -zeta(7, 5), (4, 7): -2 * zeta(7, 2), (2, 3): -zeta(7, 1)})
+        for h in (f * mono, mono * f):
+            assert_canonical(h)
+            assert h == expected and h.terms == per_pair_reduced_mul(f, mono)
 
 
 class TestEvalAtRoot:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cycloknot
 from cycloknot.exactring import LaurentPoly, eval_at_root, exact_div, zeta
 from cycloknot.qtools import (
     brace,
@@ -185,6 +187,31 @@ class TestSigma:
             for n in range(p):
                 for k in range(4):
                     assert sigma_at_root(n + k * p, p) == sigma_at_root(n, p) * sp**k
+
+
+class TestColdCacheDepth:
+    def test_recursions_fill_lowest_first(self):
+        # Each memoized recursion fills its lower levels lowest first, so a
+        # cold cache needs no stack depth that grows with n.
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        cycloknot.clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            binom = qbinomial(100, 2)
+            poch = qpochhammer(100)
+            fact = qfactorial(100)
+            sig = sigma_at_root(100, 5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert binom.evaluate({"q": 1}) == math.comb(100, 2)
+        assert poch.evaluate({"q": 1}) == 0 and poch.max_exp2("q") == 100 * 101
+        assert fact.evaluate({"q": 1}) == math.factorial(100)
+        assert sig == sigma_at_root(95, 5) * sigma_at_root(5, 5)
 
 
 class TestBraces:
