@@ -7,11 +7,16 @@ x over a cyclotomic ring for the specialized sigma products.  Everything is
 exact; memoized results are immutable and shared.  A memoized recursion
 first fills the levels below the one asked for, lowest first, so a cold
 cache needs no Python stack depth that grows with n.
+
+Every memoized product extends its predecessor by one factor rather than
+multiplying from i = 1: qfactorial, qpochhammer, pochhammer_xq,
+pochhammer_pair, sigma and sigma_at_root.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterable
 from typing import Optional
@@ -57,7 +62,14 @@ def qfactorial(n: int) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.univar("q", {0: 1})
     _fill_below(qfactorial, n)
-    return qfactorial(n - 1) * qint(n)
+    # [n-1]_q! has positive coefficients at every exponent from 0 to its
+    # degree, and [n]_q has n coefficients 1, so the product is a width-n
+    # window sum, read off the prefix sums
+    coeffs = [c for _, c in qfactorial(n - 1).terms] + [0] * (n - 1)
+    sums = [0, *itertools.accumulate(coeffs)]
+    return LaurentPoly.univar(
+        "q", {2 * j: sums[j + 1] - sums[max(0, j - n + 1)] for j in range(len(coeffs))}
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,37 +130,40 @@ def qbinomial_at_root(n: int, k: int, p: int, root_exponent: int = 1) -> CycNumb
 
 @functools.lru_cache(maxsize=None)
 def pochhammer_xq(n: int) -> LaurentPoly:
-    """(xq; q)_n = prod_{i=1..n} (1 - x q**i), bivariate in (x, q)."""
+    """(xq; q)_n = (xq; q)_{n-1} (1 - x q**n), bivariate in (x, q)."""
     if n < 0:
         raise ValueError(f"Pochhammer length must be >= 0, got {n}")
-    acc = LaurentPoly.const(("x", "q"), 1)
-    for i in range(1, n + 1):
-        acc = acc * LaurentPoly.make(("x", "q"), {(0, 0): 1, (2, 2 * i): -1})
-    return acc
+    if n == 0:
+        return LaurentPoly.const(("x", "q"), 1)
+    _fill_below(pochhammer_xq, n)
+    return pochhammer_xq(n - 1) * LaurentPoly.make(("x", "q"), {(0, 0): 1, (2, 2 * n): -1})
 
 
 @functools.lru_cache(maxsize=None)
 def pochhammer_pair(n: int) -> LaurentPoly:
-    """(xq; q)_n (x**-1 q; q)_n, bivariate in (x, q)."""
+    """(xq; q)_n (x**-1 q; q)_n, bivariate in (x, q); step n multiplies by
+    (1 - x q**n)(1 - x**-1 q**n) = 1 - x q**n - x**-1 q**n + q**(2n)."""
     if n < 0:
         raise ValueError(f"Pochhammer length must be >= 0, got {n}")
-    acc = pochhammer_xq(n)
-    for i in range(1, n + 1):
-        acc = acc * LaurentPoly.make(("x", "q"), {(0, 0): 1, (-2, 2 * i): -1})
-    return acc
+    if n == 0:
+        return LaurentPoly.const(("x", "q"), 1)
+    _fill_below(pochhammer_pair, n)
+    return pochhammer_pair(n - 1) * LaurentPoly.make(
+        ("x", "q"), {(0, 0): 1, (2, 2 * n): -1, (-2, 2 * n): -1, (0, 4 * n): 1}
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def sigma(m: int) -> LaurentPoly:
-    """sigma_m(x, q) = prod_{i=1..m} (x + x**-1 - q**i - q**-i)."""
+    """sigma_m(x, q) = sigma_{m-1}(x, q) (x + x**-1 - q**m - q**-m)."""
     if m < 0:
         raise ValueError(f"sigma index must be >= 0, got {m}")
-    acc = LaurentPoly.const(("x", "q"), 1)
-    for i in range(1, m + 1):
-        acc = acc * LaurentPoly.make(
-            ("x", "q"), {(2, 0): 1, (-2, 0): 1, (0, 2 * i): -1, (0, -2 * i): -1}
-        )
-    return acc
+    if m == 0:
+        return LaurentPoly.const(("x", "q"), 1)
+    _fill_below(sigma, m)
+    return sigma(m - 1) * LaurentPoly.make(
+        ("x", "q"), {(2, 0): 1, (-2, 0): 1, (0, 2 * m): -1, (0, -2 * m): -1}
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -137,6 +137,57 @@ class TestQBinomialAtRoot:
         assert direct == eval_at_root(qbinomial(n, k), p) * math.comb(a, b)
 
 
+# Product oracle: the from-scratch loops that pochhammer_xq, pochhammer_pair
+# and sigma ran before they extended their memoized predecessors.  Each n
+# multiplies its factors from i = 1, and the pair uses two 2-term factors
+# where the library uses one merged 4-term factor.
+def _product_oracle(factor, n: int) -> LaurentPoly:
+    acc = LaurentPoly.const(("x", "q"), 1)
+    for i in range(1, n + 1):
+        acc = acc * factor(i)
+    return acc
+
+
+def _xq_factor(i: int) -> LaurentPoly:
+    return LaurentPoly.make(("x", "q"), {(0, 0): 1, (2, 2 * i): -1})
+
+
+def _x_inv_q_factor(i: int) -> LaurentPoly:
+    return LaurentPoly.make(("x", "q"), {(0, 0): 1, (-2, 2 * i): -1})
+
+
+def _sigma_factor(i: int) -> LaurentPoly:
+    return LaurentPoly.make(("x", "q"), {(2, 0): 1, (-2, 0): 1, (0, 2 * i): -1, (0, -2 * i): -1})
+
+
+_PRODUCT_ORACLES = {
+    "pochhammer_xq": (pochhammer_xq, lambda n: _product_oracle(_xq_factor, n)),
+    "pochhammer_pair": (
+        pochhammer_pair,
+        lambda n: _product_oracle(_xq_factor, n) * _product_oracle(_x_inv_q_factor, n),
+    ),
+    "sigma": (sigma, lambda n: _product_oracle(_sigma_factor, n)),
+}
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("name", sorted(_PRODUCT_ORACLES))
+    @pytest.mark.parametrize("order", ["descending", "ascending"])
+    def test_recursion_matches_from_scratch_product(self, name, order):
+        library, oracle = _PRODUCT_ORACLES[name]
+        ns = range(12, -1, -1) if order == "descending" else range(13)
+        cycloknot.clear_caches()
+        for n in ns:
+            assert library(n) == oracle(n), (name, n)
+
+    def test_qfactorial_matches_product_of_qints(self):
+        cycloknot.clear_caches()
+        expected = LaurentPoly.const(("q",), 1)
+        for n in range(1, 31):
+            expected = expected * qint(n)
+            assert qfactorial(n) == expected, n
+
+
 class TestPochhammer:
     def test_small(self):
         assert pochhammer_pair(0) == 1
@@ -189,15 +240,20 @@ class TestSigma:
                     assert sigma_at_root(n + k * p, p) == sigma_at_root(n, p) * sp**k
 
 
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 class TestColdCacheDepth:
     def test_recursions_fill_lowest_first(self):
         # Each memoized recursion fills its lower levels lowest first, so a
         # cold cache needs no stack depth that grows with n.
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
+        depth = _stack_depth()
         cycloknot.clear_caches()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 50)
@@ -212,6 +268,21 @@ class TestColdCacheDepth:
         assert poch.evaluate({"q": 1}) == 0 and poch.max_exp2("q") == 100 * 101
         assert fact.evaluate({"q": 1}) == math.factorial(100)
         assert sig == sigma_at_root(95, 5) * sigma_at_root(5, 5)
+
+    def test_bivariate_products_fill_lowest_first(self):
+        # Filled lowest first, each product needs under 20 frames above the
+        # caller here; a recursion that descended one level per frame to
+        # n = 20 would need more than the 25 this limit leaves.
+        depth = _stack_depth()
+        cycloknot.clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            got = {name: library(20) for name, (library, _) in _PRODUCT_ORACLES.items()}
+        finally:
+            sys.setrecursionlimit(limit)
+        for name, (_, oracle) in _PRODUCT_ORACLES.items():
+            assert got[name] == oracle(20), name
 
 
 class TestBraces:
