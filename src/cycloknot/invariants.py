@@ -6,6 +6,11 @@ The CGP invariant of the 0-surgery is kept symbolic in u = e_{2p}**lambda:
 every statement about generic lambda becomes an exact Laurent-polynomial
 identity in u.  CGP results carry their numerator polynomial together with
 tags naming the normalizing factors instead of performing any division.
+
+For a double twist knot, ADO, WRT and the CGP numerator are each
+sum_{m<p} a_m(e_p) K(m, p) over a knot-free kernel K of qtools
+(sigma_at_root, wrt_kernel, cgp_kernel), and colored_jones sums over
+jones_pairs; this module holds no cache.
 """
 
 from __future__ import annotations
@@ -30,7 +35,16 @@ from .knots import (
     is_double_twist_family,
     knot_str,
 )
-from .qtools import _q, brace, qbinomial, qbinomial_at_root, sigma_at_root
+from .qtools import (
+    _cgp_operator,
+    _q,
+    cgp_kernel,
+    jones_pairs,
+    qbinomial,
+    qbinomial_at_root,
+    sigma_at_root,
+    wrt_kernel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +81,11 @@ def _chain_transfer(first: Iterable, one, links: int, step: Callable[[int, objec
 def colored_jones(knot: KnotSpec, N: int) -> LaurentPoly:
     """J_K(q^N, q) = sum_{n<N} C_n(K;q) (q^(1+N); q)_n (q^(1-N); q)_n.
 
-    The sum truncates at n = N-1 because (q^(1-N); q)_n vanishes beyond it.
+    The sum truncates at n = N-1 because (q^(1-N); q)_n vanishes beyond it;
+    the products are the knot-free jones_pairs(N).
     """
-    if N < 1:
-        raise ValueError(f"color must be >= 1, got {N}")
     total = LaurentPoly.zero(("q",))
-    pair = _q(0)
-    for n in range(N):
-        if n:
-            i = n - 1
-            pair = pair * (_q(0) - _q(2 * (1 + N + i))) * (_q(0) - _q(2 * (1 - N + i)))
+    for n, pair in enumerate(jones_pairs(N)):
         total = total + habiro_c(knot, n) * pair
     return total
 
@@ -248,16 +257,14 @@ def wrt_zero(knot: KnotSpec, p: int) -> CycNumber:
     sum_{0<n<2p odd} (zeta_2p^n - zeta_2p^-n)^2 ADO_K(zeta_p^-n, e_p),
 
     returned unnormalized in Z[zeta_2p] (multiply by {1}^-2 for the usual
-    normalization; see normalized_wrt)."""
+    normalization; see normalized_wrt).  ADO is the sigma expansion, so this
+    is sum_{m<p} wrt_kernel(m, p) a_m(e_p)."""
     _require_odd(p)
     if not is_double_twist_family(knot):
         raise ValueError("wrt_zero covers double twist knots; use wrt_torus_direct")
-    poly = ado(knot, p).poly
     total = CycNumber.zero(2 * p)
-    for n in range(1, 2 * p, 2):
-        br = zeta(2 * p, n) - zeta(2 * p, -n)
-        val = poly.evaluate({"x": zeta(p, -n)})
-        total = total + br * br * val.embed(2 * p)
+    for m in range(p):
+        total = total + wrt_kernel(m, p) * a_at_root(knot, m, p).embed(2 * p)
     return total
 
 
@@ -347,30 +354,17 @@ def _torus_t(knot: KnotSpec) -> int:
     raise ValueError(f"expected a torus knot, got {knot!r}")
 
 
-def _brace_sq(j: int, p: int) -> LaurentPoly:
-    b = brace(j, p, lam_coeff=1)
-    return b * b
-
-
-def _sub_x_root_usq(poly: LaurentPoly, n: int, p: int) -> LaurentPoly:
-    """x -> zeta_p^(2n+1) u^2 on a polynomial already lifted to order 2p."""
-    return poly.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
-
-
 def cgp_zero(knot: KnotSpec, p: int) -> CgpResult:
     """CGP numerator sum_m a_m(e_p) sum_n {lambda+2n+1}^2 sigma_m(e_p^(lambda+2n+1), e_p),
 
-    with e_p^(lambda+2n+1) realized as zeta_p^(2n+1) u^2."""
+    with e_p^(lambda+2n+1) realized as zeta_p^(2n+1) u^2: sum_{m<p}
+    cgp_kernel(m, p) a_m(e_p)."""
     _require_odd(p)
     if not is_double_twist_family(knot):
         raise ValueError("cgp_zero covers double twist knots; use cgp_torus_direct")
     total = LaurentPoly.zero(("u",), 2 * p)
     for m in range(p):
-        inner = LaurentPoly.zero(("u",), 2 * p)
-        sig = sigma_at_root(m, p).with_order(2 * p)
-        for n in range(p):
-            inner = inner + _brace_sq(2 * n + 1, p) * _sub_x_root_usq(sig, n, p)
-        total = total + inner * a_at_root(knot, m, p).embed(2 * p)
+        total = total + cgp_kernel(m, p) * a_at_root(knot, m, p).embed(2 * p)
     return CgpResult(knot, p, total)
 
 
@@ -381,11 +375,7 @@ def cgp_from_ado(knot: KnotSpec, p: int) -> CgpResult:
     expansion; also applicable to torus knots for exploratory comparisons.
     """
     _require_odd(p)
-    poly = ado(knot, p).poly.with_order(2 * p)
-    total = LaurentPoly.zero(("u",), 2 * p)
-    for n in range(p):
-        total = total + _brace_sq(2 * n + 1, p) * _sub_x_root_usq(poly, n, p)
-    return CgpResult(knot, p, total)
+    return CgpResult(knot, p, _cgp_operator(ado(knot, p).poly, p))
 
 
 # ---------------------------------------------------------------------------

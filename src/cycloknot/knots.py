@@ -297,6 +297,7 @@ def a_at_one(knot: KnotSpec, k: int) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def a_at_root(knot: KnotSpec, n: int, p: int) -> CycNumber:
     """a_n(K; e_p) in Z[zeta_p]."""
     return eval_at_root(habiro_a(knot, n), p)
@@ -321,16 +322,20 @@ def habiro_from_jones(evals: list[LaurentPoly], n: int) -> LaurentPoly:
         raise ValueError(f"need J_K(q^l, q) for l = 1..{n + 1}, got {len(evals)} values")
     total = LaurentPoly.zero(("q",))
     for l in range(1, n + 2):
-        sign = -1 if l % 2 else 1
-        piece = (
-            (_q(0) - _q(2 * l))
-            * (_q(0) - _q(4 * l))
-            * qbinomial(2 * n + 2, n + 1 - l)
-            * _q(l * (l - 3), sign)
-            * evals[l - 1]
-        )
-        total = total + piece
+        total = total + _inversion_weight(n, l) * evals[l - 1]
     return exact_div(_q(2 * (n + 1), -1) * total, qpochhammer(2 * n + 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _inversion_weight(n: int, l: int) -> LaurentPoly:
+    """The knot-free weight (1-q^l)(1-q^(2l)) [2n+2; n+1-l] (-1)^l q^(l(l-3)/2)
+    of J_K(q^l, q) in habiro_from_jones."""
+    return (
+        (_q(0) - _q(2 * l))
+        * (_q(0) - _q(4 * l))
+        * qbinomial(2 * n + 2, n + 1 - l)
+        * _q(l * (l - 3), -1 if l % 2 else 1)
+    )
 
 
 # ---------------------------------------------------------------------------

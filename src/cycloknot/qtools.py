@@ -10,7 +10,12 @@ cache needs no Python stack depth that grows with n.
 
 Every memoized product extends its predecessor by one factor rather than
 multiplying from i = 1: qfactorial, qpochhammer, pochhammer_xq,
-pochhammer_pair, sigma and sigma_at_root.
+pochhammer_pair, sigma, sigma_at_root and the tuple jones_pairs(N).
+
+The knot-free kernels of the invariants are memoized here, once for all
+knots: for a double twist knot, ADO, WRT and the CGP numerator are
+sum_{m<p} a_m(e_p) times sigma_at_root, wrt_kernel and cgp_kernel of (m, p),
+and J_K(q^N, q) = sum_n C_n jones_pairs(N)[n] for every knot.
 """
 
 from __future__ import annotations
@@ -64,12 +69,11 @@ def qfactorial(n: int) -> LaurentPoly:
     _fill_below(qfactorial, n)
     # [n-1]_q! has positive coefficients at every exponent from 0 to its
     # degree, and [n]_q has n coefficients 1, so the product is a width-n
-    # window sum, read off the prefix sums
+    # window sum of prefix sums, positive and in order: canonical terms
     coeffs = [c for _, c in qfactorial(n - 1).terms] + [0] * (n - 1)
     sums = [0, *itertools.accumulate(coeffs)]
-    return LaurentPoly.univar(
-        "q", {2 * j: sums[j + 1] - sums[max(0, j - n + 1)] for j in range(len(coeffs))}
-    )
+    terms = tuple(((2 * j,), sums[j + 1] - sums[max(0, j - n + 1)]) for j in range(len(coeffs)))
+    return LaurentPoly(("q",), terms, None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,6 +184,47 @@ def sigma_at_root(m: int, p: int) -> LaurentPoly:
     _fill_below(sigma_at_root, m, lambda i: (p,))
     factor = LaurentPoly.univar("x", {2: 1, -2: 1, 0: -(zeta(p, m) + zeta(p, -m))}, p)
     return sigma_at_root(m - 1, p) * factor
+
+
+@functools.lru_cache(maxsize=None)
+def jones_pairs(N: int) -> tuple[LaurentPoly, ...]:
+    """(q^(1+N); q)_n (q^(1-N); q)_n for n < N, that is pochhammer_pair(n) at
+    x = q^N; step n multiplies by (1 - q^(N+n))(1 - q^(n-N))."""
+    if N < 1:
+        raise ValueError(f"color must be >= 1, got {N}")
+    pairs = [_q(0)]
+    for n in range(1, N):
+        step = LaurentPoly.univar("q", {0: 1, 2 * (N + n): -1, 2 * (n - N): -1, 4 * n: 1})
+        pairs.append(pairs[-1] * step)
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def wrt_kernel(m: int, p: int) -> CycNumber:
+    """sum_{0<n<2p odd} (zeta_2p^n - zeta_2p^-n)^2 sigma_m(zeta_p^-n, e_p) in Z[zeta_2p]."""
+    total = CycNumber.zero(2 * p)
+    for n in range(1, 2 * p, 2):
+        br = zeta(2 * p, n) - zeta(2 * p, -n)
+        total = total + br * br * eval_at_root(sigma_at_root(m, p), p, -n, order=2 * p)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def cgp_kernel(m: int, p: int) -> LaurentPoly:
+    """sum_{n<p} {lambda+2n+1}^2 sigma_m(zeta_p^(2n+1) u^2, e_p) over Z[zeta_2p]."""
+    return _cgp_operator(sigma_at_root(m, p), p)
+
+
+def _cgp_operator(f: LaurentPoly, p: int) -> LaurentPoly:
+    """sum_{n<p} {lambda+2n+1}^2 f(zeta_p^(2n+1) u^2) over Z[zeta_2p], for f in x,
+    with e_p^(lambda+2n+1) realized as zeta_p^(2n+1) u^2."""
+    f = f.with_order(2 * p)
+    total = LaurentPoly.zero(("u",), 2 * p)
+    for n in range(p):
+        b = brace(2 * n + 1, p, lam_coeff=1)
+        at_point = f.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
+        total = total + b * b * at_point
+    return total
 
 
 def brace(j: int, p: int, lam_coeff: int = 0, var: str = "u"):

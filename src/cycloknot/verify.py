@@ -15,6 +15,7 @@ carry exploratory=True are informational and do not count as failures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -63,6 +64,7 @@ from .qtools import (
     qbinomial_balanced,
     sigma,
     sigma_at_root,
+    wrt_kernel,
 )
 
 FIVE_KNOTS: tuple[KnotSpec, ...] = (
@@ -124,17 +126,16 @@ def suite_habiro_goldens(quick: bool, exploratory: bool) -> Iterator[Point]:
 def _thm1_factorization(K: KnotSpec, p: int, kk_end: int) -> Iterator[InvariantReport]:
     zp = _x(2 * p) + _x(-2 * p) - 2
 
-    def truncated(n_end):
-        terms = (sigma_at_root(n, p) * a_at_root(K, n, p) for n in range(n_end))
-        return sum(terms, LaurentPoly.zero(("x",), p))
-
-    inner = truncated(p)
+    # truncated[n] = sum_{i<=n} sigma_i a_i, one running prefix sum
+    terms = (sigma_at_root(n, p) * a_at_root(K, n, p) for n in range((kk_end - 1) * p))
+    truncated = list(itertools.accumulate(terms))
+    inner = truncated[p - 1]
 
     def factored(kk):
         outer = sum((zp**k * a_at_one(K, k) for k in range(kk)), LaurentPoly.zero(("x",), p))
         return inner * outer
 
-    pairs = ((truncated(kk * p), factored(kk)) for kk in range(1, kk_end))
+    pairs = ((truncated[kk * p - 1], factored(kk)) for kk in range(1, kk_end))
     yield _agree("thm1-factorization", {"knot": knot_str(K), "p": p}, pairs)
 
 
@@ -226,16 +227,9 @@ def _wrt_two_routes(K: KnotSpec, p: int) -> Iterator[InvariantReport]:
 
 
 def _wrt_middle_vanishing(p: int) -> Iterator[InvariantReport]:
-    def total(m):
-        sig = sigma_at_root(m, p)
-        total = CycNumber.zero(2 * p)
-        for n in range(p):
-            br = zeta(2 * p, 2 * n + 1) - zeta(2 * p, -(2 * n + 1))
-            total = total + br * br * sig.evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
-        return total
-
+    # a_m(e_p) for (p-1)/2 <= m < p-1 has weight 0 in the WRT invariant
     zero = CycNumber.zero(2 * p)
-    pairs = ((total(m), zero) for m in range((p - 1) // 2, p - 1))
+    pairs = ((wrt_kernel(m, p), zero) for m in range((p - 1) // 2, p - 1))
     yield _agree("wrt-middle-vanishing", {"p": p}, pairs)
 
 

@@ -2,8 +2,11 @@
 
 Every case breaks one ingredient of one suite and requires that suite to
 report a FAIL and the CLI to exit 1.  Only names in the cycloknot.verify and
-cycloknot.invariants namespaces are patched; neither module holds an
-lru_cache, so no cache keeps a poisoned value for later tests.
+cycloknot.invariants namespaces are patched.  Memos live only in qtools and
+knots (the q-recursions, the Habiro coefficients and the knot-free kernels
+of the invariants), and those call their own module's names, so no cache
+keeps a poisoned value: once the patch is undone, the same suite passes in
+the same process with its caches as the mutated run left them.
 """
 
 from __future__ import annotations
@@ -62,3 +65,6 @@ def test_mutation_is_caught(name, monkeypatch, capsys):
     assert any(not r.passed and not r.params.get("exploratory") for r in reports)
     assert cli.run(["verify", "--suite", name, "--quick"]) == 1
     assert "FAIL" in capsys.readouterr().err
+    monkeypatch.undo()
+    reports = verify.run_suite(name, quick=True)
+    assert reports and all(r.passed or r.params.get("exploratory") for r in reports)

@@ -37,10 +37,11 @@ from cycloknot.knots import (
     alexander,
     double_twist,
     habiro_a,
+    knot_str,
     mirror,
     torus_two_strand,
 )
-from cycloknot.qtools import brace, sigma_at_root
+from cycloknot.qtools import brace, cgp_kernel, jones_pairs, pochhammer_pair, sigma_at_root, wrt_kernel
 
 K11 = double_twist(1, 1)
 K41 = double_twist(-1, 1)
@@ -61,6 +62,37 @@ def up(d, order=None):
 
 def alex_minus_x(K):
     return alexander(K).substitute("x", coeff=-1, new_var="x", exp2=2)
+
+
+# Labelled oracles: the per-knot loops that wrt_zero and cgp_zero ran before
+# they became weighted sums over the knot-free kernels of qtools.  They take
+# ADO (or sigma) at each point directly and share no helper with the kernels.
+def wrt_zero_oracle(K, p):
+    """sum over odd n < 2p of {n}^2 ADO_K(zeta_p^-n, e_p), ADO evaluated per point."""
+    poly = ado(K, p).poly
+    total = CycNumber.zero(2 * p)
+    for n in range(1, 2 * p, 2):
+        br = zeta(2 * p, n) - zeta(2 * p, -n)
+        total = total + br * br * poly.evaluate({"x": zeta(p, -n)}).embed(2 * p)
+    return total
+
+
+def cgp_zero_oracle(K, p):
+    """sum_m a_m(e_p) sum_n {lambda+2n+1}^2 sigma_m(zeta_p^(2n+1) u^2, e_p), per knot."""
+    total = LaurentPoly.zero(("u",), 2 * p)
+    for m in range(p):
+        sig = sigma_at_root(m, p).with_order(2 * p)
+        inner = LaurentPoly.zero(("u",), 2 * p)
+        for n in range(p):
+            b = brace(2 * n + 1, p, lam_coeff=1)
+            point = sig.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
+            inner = inner + b * b * point
+        total = total + inner * a_at_root(K, m, p).embed(2 * p)
+    return total
+
+
+KERNEL_GRID = [(K, p) for K in FIVE + tuple(mirror(K) for K in FIVE) for p in (3, 5, 7)]
+KERNEL_IDS = [f"{knot_str(K)}-p{p}" for K, p in KERNEL_GRID]
 
 
 class TestColoredJones:
@@ -184,6 +216,40 @@ class TestWrt:
                     br = zeta(2 * p, 2 * n + 1) - zeta(2 * p, -(2 * n + 1))
                     total = total + br * br * sig.evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
                 assert total.is_zero()
+
+
+class TestKnotFreeKernels:
+    @pytest.mark.parametrize("K, p", KERNEL_GRID, ids=KERNEL_IDS)
+    def test_kernel_routes_match_their_oracles(self, K, p):
+        assert wrt_zero(K, p) == wrt_zero_oracle(K, p)
+        assert cgp_zero(K, p).numerator == cgp_zero_oracle(K, p)
+
+    @pytest.mark.parametrize("K, p", KERNEL_GRID, ids=KERNEL_IDS)
+    def test_cgp_kernel_route_matches_operator_on_ado(self, K, p):
+        assert cgp_zero(K, p).numerator == cgp_from_ado(K, p).numerator
+
+    def test_jones_pairs_are_pochhammer_pairs_at_x_q_to_the_N(self):
+        for N in range(1, 9):
+            pairs = jones_pairs(N)
+            assert len(pairs) == N
+            for n, pair in enumerate(pairs):
+                assert pair == pochhammer_pair(n).substitute("x", new_var="q", exp2=2 * N), (N, n)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_wrt_kernel_is_the_sum_over_the_odd_points(self, p):
+        # the points zeta_p^-n, n odd in (0, 2p), are the zeta_p^(2n+1), n < p,
+        # and the squared brace depends only on the point up to inversion
+        for m in range(p):
+            total = CycNumber.zero(2 * p)
+            for n in range(p):
+                br = brace(2 * n + 1, p)
+                total = total + br * br * sigma_at_root(m, p).evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
+            assert wrt_kernel(m, p) == total, (m, p)
+
+    def test_kernels_are_memoized_and_immutable(self):
+        assert cgp_kernel(2, 5) is cgp_kernel(2, 5)
+        assert wrt_kernel(2, 5) is wrt_kernel(2, 5)
+        assert isinstance(jones_pairs(4), tuple)
 
 
 class TestRootPowerSums:

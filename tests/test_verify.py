@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import cycloknot
 from cycloknot.verify import SUITES, run_suite
 
 
@@ -21,3 +22,16 @@ def test_points_listed_first_run_the_same_checks(name, quick, exploratory):
     points = list(SUITES[name](quick, exploratory))
     listed = [report for _knot, _p, run in points for report in run()]
     assert _stream(listed) == _stream(run_suite(name, quick=quick, exploratory=exploratory))
+
+
+def test_suite_order_does_not_change_reports():
+    # The memoized kernels are shared by every suite; whichever suite fills
+    # a cache first, every later reader must get the same reports.
+    def run_all(names):
+        return {name: _stream(run_suite(name, exploratory=True)) for name in names}
+
+    cycloknot.clear_caches()
+    forward = run_all(list(SUITES))
+    cycloknot.clear_caches()
+    backward = run_all(reversed(list(SUITES)))
+    assert [forward[name] for name in SUITES] == [backward[name] for name in SUITES]
