@@ -224,10 +224,6 @@ class TestKnotFreeKernels:
         assert wrt_zero(K, p) == wrt_zero_oracle(K, p)
         assert cgp_zero(K, p).numerator == cgp_zero_oracle(K, p)
 
-    @pytest.mark.parametrize("K, p", KERNEL_GRID, ids=KERNEL_IDS)
-    def test_cgp_kernel_route_matches_operator_on_ado(self, K, p):
-        assert cgp_zero(K, p).numerator == cgp_from_ado(K, p).numerator
-
     def test_jones_pairs_are_pochhammer_pairs_at_x_q_to_the_N(self):
         for N in range(1, 9):
             pairs = jones_pairs(N)
@@ -284,9 +280,9 @@ class TestCgp:
         assert cgp_zero(K41, 3).numerator == expected
 
     def test_routes_identical(self):
-        for K in (K11, K22):
-            for p in (3, 5):
-                assert cgp_zero(K, p).numerator == cgp_from_ado(K, p).numerator
+        # the kernel sum against the CGP operator applied to ADO itself
+        for K, p in KERNEL_GRID:
+            assert cgp_zero(K, p).numerator == cgp_from_ado(K, p).numerator, (K, p)
 
     def test_numerator_at_u1_is_wrt(self):
         for K in FIVE:
