@@ -64,7 +64,6 @@ from .qtools import (
     brace,
     bracket_poly,
     pochhammer_pair,
-    pochhammer_xq,
     qbinomial,
     qbinomial_at_root,
     qbinomial_balanced,

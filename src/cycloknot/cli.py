@@ -9,13 +9,15 @@ Subcommands: coeffs, jones, ado, wrt, cgp, verify.  Knot specs follow the
 knots module syntax (dt:l,m / t2:t, prefix ! for mirror).  All regular output
 goes to stdout; failing verification reports are repeated on stderr.  Exit
 codes: 0 success (all verifications passed), 1 verification failure,
-2 usage or parse error.  Identical invocations produce identical bytes.
+2 usage or parse error, 141 stdout closed by its reader.  Identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exactring import CycNumber, LaurentPoly
@@ -354,7 +356,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Exit quietly with the
+        # shell's SIGPIPE status, since 1 means a verification failure, and
+        # point stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

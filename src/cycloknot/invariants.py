@@ -10,14 +10,17 @@ tags naming the normalizing factors instead of performing any division.
 For a double twist knot, ADO, WRT and the CGP numerator are each
 sum_{m<p} a_m(e_p) K(m, p) over a knot-free kernel K of qtools
 (sigma_at_root, wrt_kernel, cgp_kernel), and colored_jones sums over
-jones_pairs; this module holds no cache.
+jones_pairs.  The two chain multi-sums of T(2, 2t+1), the q-hypergeometric
+colored Jones and the ADO invariant, read the memoized columns of
+knots._chain_column: at generic q and over Z[zeta_p] respectively.  This
+module holds no cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Optional, Union
 
 from .exactring import (
     CycNumber,
@@ -27,9 +30,11 @@ from .exactring import (
     zeta,
 )
 from .knots import (
+    _TORUS_ADO,
     KnotSpec,
     Mirror,
     TorusTwoStrand,
+    _chain_column,
     a_at_root,
     habiro_c,
     is_double_twist_family,
@@ -40,37 +45,10 @@ from .qtools import (
     _q,
     cgp_kernel,
     jones_pairs,
-    qbinomial,
     qbinomial_at_root,
     sigma_at_root,
     wrt_kernel,
 )
-
-
-# ---------------------------------------------------------------------------
-# chain transfer kernel
-# ---------------------------------------------------------------------------
-
-
-def _chain_transfer(first: Iterable, one, links: int, step: Callable[[int, object], Iterable]) -> dict:
-    """Transfer sum along a chain: S_{i+1}(s') = sum_s w_i(s, s') S_i(s).
-
-    S_1 is the empty product, one, on every state of first; step(i, s)
-    yields the pairs (s', w_i(s, s')) for the links i = 1..links.  Returns
-    {s: S_{links+1}(s)}.  A sum over nondecreasing chains k_1 <= ... <= k_len
-    of a product of link weights is the case links = len - 1 with state k_i;
-    it takes a number of products polynomial in the chain length, not one
-    product per chain.
-    """
-    sums = dict.fromkeys(first, one)
-    for i in range(1, links + 1):
-        nxt: dict = {}
-        for s, value in sums.items():
-            for s2, w in step(i, s):
-                term = w if i == 1 else value * w
-                nxt[s2] = nxt[s2] + term if s2 in nxt else term
-        sums = nxt
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +80,11 @@ def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
     poch = [_q(0)]
     for i in range(1, N):
         poch.append(poch[-1] * (_q(0) - _q(2 * (i - N))))
-
-    def step(i, k):
-        w = _q(2 * k * (k + 1) - 4 * N * k)
-        for k2 in range(k, N):
-            yield k2, w * qbinomial(k2, k)
-
-    sums = _chain_transfer(range(N), _q(0), t - 1, step)
+    # the link weight q^(k(k+1)) x^(2k) at x = q^-N
+    link = (1, 1 - 2 * N, 0, 0)
     total = LaurentPoly.zero(("q",))
-    for kt, s in sums.items():
-        total = total + s * poch[kt] * _q(-2 * N * kt)
+    for kt in range(N):
+        total = total + _chain_column(link, None, t, kt) * poch[kt] * _q(-2 * N * kt)
     return _q(2 * t * (1 - N)) * total
 
 
@@ -176,26 +149,10 @@ def _ado_torus(t: int, p: int) -> LaurentPoly:
     for i in range(1, p):
         poch.append(poch[-1] * LaurentPoly.univar("x", {0: one, 2: -zeta(p, i)}))
     total = LaurentPoly.zero(("x",), p)
-    for kt, s in _torus_chain_sums(t, p, p - 1).items():
-        total = total + s * poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
+    for kt in range(p):
+        column = _chain_column(_TORUS_ADO, p, t, kt)
+        total = total + column * poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
     return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
-
-
-def _torus_chain_sums(t: int, p: int, bound: int) -> dict[int, LaurentPoly]:
-    """The chain sums of the torus ADO formula, by top value k <= bound:
-
-    {k: sum_{k = k_t >= ... >= k_1 >= 0} prod_{i<t} x^(2k_i) zeta_p^(k_i(k_i+1)) [k_{i+1}; k_i]},
-    with the q-binomials taken at e_p.
-    """
-
-    def step(i, k):
-        for k2 in range(k, bound + 1):
-            yield k2, LaurentPoly.univar(
-                "x", {4 * k: zeta(p, k * (k + 1)) * qbinomial_at_root(k2, k, p)}
-            )
-
-    one = LaurentPoly.univar("x", {0: CycNumber.from_int(p, 1)})
-    return _chain_transfer(range(bound + 1), one, t - 1, step)
 
 
 def chi_st(s: int, t: int, n: int) -> int:

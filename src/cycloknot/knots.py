@@ -11,14 +11,18 @@ cyclotomic expansion of the colored Jones polynomial,
 with a_n = (-1)^n q^(n(n+1)/2) C_n.  They are computed from the known
 nondecreasing-chain multi-sum formulas for these families.  Each multi-sum is
 split at its last link into memoized columns: the sums over the chains of a
-given length that end at a given value k (for the torus family, also with a
-given prefix sum).  A column depends neither on the index n nor on the twist
-parameters, so a_0, ..., a_N, and knots whose chains share a prefix, share
-one set of columns.  The cost is polynomial in the chain length rather than
-one product per chain, and columns are filled lowest level first, so chains
-of any length need no deep recursion.  The evaluation inversion
-habiro_from_jones recovers C_n from colored Jones values and serves as an
-independent cross-check.
+given length that end at a given value k.  One kernel, _chain_column, holds
+every column whose link weight is a monomial times a q-binomial: the double
+twist sums here and the hyper-Jones and torus ADO sums of invariants.  It is
+keyed by a link-weight descriptor and a ring, generic q or q = e_p over
+Z[zeta_p].  The mirror-torus sum, whose q-binomial depends on the prefix sum,
+keeps its own columns, keyed also by that prefix sum.  A column depends
+neither on the index n nor on the twist parameters, so a_0, ..., a_N, and
+knots whose chains share a prefix, share one set of columns.  The cost is
+polynomial in the chain length rather than one product per chain, and
+columns are filled from below, lowest level first, so chains of any length
+need no deep recursion.  The evaluation inversion habiro_from_jones recovers
+C_n from colored Jones values and serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
@@ -155,48 +159,67 @@ def is_double_twist_family(knot: KnotSpec) -> bool:
 _ONE_TERMS = (((0,), 1),)
 
 
-def _shifted_sum(terms: Iterable[tuple[int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """sum of q^(e/2) w f over the triples (e, w, f), in one dict.
+def _shifted_sum(
+    terms: Iterable[tuple[int, object, LaurentPoly]], var: str = "q", order: Optional[int] = None
+) -> LaurentPoly:
+    """sum of var^(e/2) w f over the triples (e, w, f), in one dict.
 
-    Each term is added into one accumulator and the result is normalized
-    once, instead of building a polynomial per partial sum; a factor equal
-    to 1 costs no product.
+    The weight w is a polynomial or a scalar.  Each term is added into one
+    accumulator and the result is normalized once, instead of building a
+    polynomial per partial sum; a polynomial factor equal to 1 costs no
+    product.
     """
-    acc: dict[int, int] = {}
+    acc: dict[int, object] = {}
     for e, w, f in terms:
-        if f.terms != _ONE_TERMS:
+        if not isinstance(w, LaurentPoly):
+            w = f * w
+        elif f.terms != _ONE_TERMS:
             w = f if w.terms == _ONE_TERMS else w * f
         for (x,), c in w.terms:
             x += e
             acc[x] = acc[x] + c if x in acc else c
-    return LaurentPoly(("q",), tuple([((x,), c) for x, c in sorted(acc.items()) if c]), None)
+    return LaurentPoly((var,), tuple([((x,), c) for x, c in sorted(acc.items()) if c]), order)
+
+
+# Link weights w(k, n) = q^(a k^2 + b k + c k n) x^(d k) of the chain
+# columns, named by (a, b, c, d).  A descriptor is a tuple of ints, so a
+# column's memo key holds no function (the benchmark tracer rebinds those).
+_TWIST_PLUS = (1, 1, 0, 0)  # q^(k(k+1)): twist boxes of positive sign
+_TWIST_MINUS = (0, -1, -1, 0)  # q^(-k(n+1)): twist boxes of negative sign
+_TORUS_ADO = (1, 1, 0, 2)  # x^(2k) q^(k(k+1)) at q = e_p: ADO of T(2, 2t+1)
 
 
 @functools.lru_cache(maxsize=None)
-def _twist_column(minus: bool, length: int, n: int) -> LaurentPoly:
-    """_chain_sum_plus (or _chain_sum_minus) by its last link k = k_{length-1}:
+def _chain_column(
+    link: tuple[int, int, int, int], ring: Optional[int], length: int, n: int
+) -> LaurentPoly:
+    """C(length, n) = sum_{k<=n} w(k, n) [n; k] C(length-1, k), C(1, n) = 1.
 
-    S(length, n) = sum_{k<=n} q^(k(k+1)) [n; k] S(length-1, k), S(1, n) = 1,
-    with q^(-k(n+1)) in place of q^(k(k+1)) for the minus sum.
+    This is the sum over the chains k_1 <= ... <= k_length = n of the
+    products of the link weights w(k_i, k_{i+1}) [k_{i+1}; k_i], with w
+    named by the descriptor link = (a, b, c, d).  With ring None it is a
+    polynomial in q (d must be 0); with ring p it is a polynomial in x over
+    Z[zeta_p], at q = e_p, with the q-binomials taken at the root (their
+    zeros skipped).  A column does not depend on any bound on the chain, so
+    every top n, and every sum over a range of tops, shares it.
     """
+    a, b, c, d = link
     if length == 1:
-        return _q(0)
-    return _shifted_sum(
-        (-2 * k * (n + 1) if minus else 2 * k * (k + 1), qbinomial(n, k), _twist_column(minus, length - 1, k))
-        for k in range(n + 1)
-    )
+        return _q(0) if ring is None else LaurentPoly.univar("x", {0: 1}, ring)
+    # Every 64th level is filled, so a cold column recurses through fewer
+    # than 64 levels, and the fill that each new column starts with costs
+    # length/64 lookups per key rather than length.
+    _fill_below(functools.partial(_chain_column, link, ring), length, lambda i: range(n + 1), 64)
 
+    def terms():
+        for k in range(n + 1):
+            e = k * (a * k + b + c * n)
+            if ring is None:
+                yield 2 * e, qbinomial(n, k), _chain_column(link, ring, length - 1, k)
+            elif binom := qbinomial_at_root(n, k, ring):
+                yield 2 * d * k, zeta(ring, e) * binom, _chain_column(link, ring, length - 1, k)
 
-def _chain_sum_plus(length: int, n: int) -> LaurentPoly:
-    """sum over n = k_length >= ... >= k_1 >= 0 of prod q^(k_i(k_i+1)) [k_{i+1}; k_i]."""
-    _fill_below(functools.partial(_twist_column, False), length, lambda i: range(n + 1))
-    return _twist_column(False, length, n)
-
-
-def _chain_sum_minus(length: int, n: int) -> LaurentPoly:
-    """Like _chain_sum_plus but with the factors q^(-k_i(k_{i+1}+1))."""
-    _fill_below(functools.partial(_twist_column, True), length, lambda i: range(n + 1))
-    return _twist_column(True, length, n)
+    return _shifted_sum(terms(), "q" if ring is None else "x", ring)
 
 
 def _torus_links(i: int, k: int) -> Iterator[tuple[int, tuple[int, LaurentPoly, LaurentPoly]]]:
@@ -258,14 +281,11 @@ def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if isinstance(knot, DoubleTwist):
+        plus = _chain_column(_TWIST_PLUS, None, knot.m, n)
         if knot.l > 0:
-            return _q(2 * n) * _chain_sum_plus(knot.l, n) * _chain_sum_plus(knot.m, n)
+            return _q(2 * n) * _chain_column(_TWIST_PLUS, None, knot.l, n) * plus
         sign = -1 if n % 2 else 1
-        return (
-            _q(-n * (n + 1), sign)
-            * _chain_sum_plus(knot.m, n)
-            * _chain_sum_minus(-knot.l, n)
-        )
+        return _q(-n * (n + 1), sign) * plus * _chain_column(_TWIST_MINUS, None, -knot.l, n)
     if isinstance(knot, (TorusTwoStrand, Mirror)):
         sign = -1 if n % 2 else 1
         return _q(-n * (n + 1), sign) * habiro_a(knot, n)

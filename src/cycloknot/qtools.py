@@ -9,8 +9,8 @@ first fills the levels below the one asked for, lowest first, so a cold
 cache needs no Python stack depth that grows with n.
 
 Every memoized product extends its predecessor by one factor rather than
-multiplying from i = 1: qfactorial, qpochhammer, pochhammer_xq,
-pochhammer_pair, sigma, sigma_at_root and the tuple jones_pairs(N).
+multiplying from i = 1: qfactorial, qpochhammer, pochhammer_pair, sigma,
+sigma_at_root and the tuple jones_pairs(N).
 
 The knot-free kernels of the invariants are memoized here, once for all
 knots: for a double twist knot, ADO, WRT and the CGP numerator are
@@ -35,15 +35,18 @@ def _q(e2: int, c: int = 1) -> LaurentPoly:
 
 
 def _fill_below(
-    cell: Callable[..., object], level: int, keys: Optional[Callable[[int], Iterable[int]]] = None
+    cell: Callable[..., object],
+    level: int,
+    keys: Optional[Callable[[int], Iterable[int]]] = None,
+    step: int = 1,
 ) -> None:
-    """Evaluate the memoized cell(i, k) for 1 <= i < level and k in keys(i),
-    or cell(i) when keys is None.
+    """Evaluate the memoized cell(i, k) for i = step, 2 step, ... < level and
+    k in keys(i), or cell(i) when keys is None.
 
-    Levels go lowest first, so each new entry finds the level below it
-    cached and the Python stack does not grow with the level.
+    Levels go lowest first, so each new entry finds the levels below it
+    cached and the Python stack grows with step, not with the level.
     """
-    for i in range(1, level):
+    for i in range(step, level, step):
         if keys is None:
             cell(i)
         else:
@@ -130,17 +133,6 @@ def qbinomial_at_root(n: int, k: int, p: int, root_exponent: int = 1) -> CycNumb
         small = eval_at_root(qbinomial(n0, k0), p, root_exponent)
         return small * math.comb(a, b)
     return eval_at_root(qbinomial(n, k), p, root_exponent)
-
-
-@functools.lru_cache(maxsize=None)
-def pochhammer_xq(n: int) -> LaurentPoly:
-    """(xq; q)_n = (xq; q)_{n-1} (1 - x q**n), bivariate in (x, q)."""
-    if n < 0:
-        raise ValueError(f"Pochhammer length must be >= 0, got {n}")
-    if n == 0:
-        return LaurentPoly.const(("x", "q"), 1)
-    _fill_below(pochhammer_xq, n)
-    return pochhammer_xq(n - 1) * LaurentPoly.make(("x", "q"), {(0, 0): 1, (2, 2 * n): -1})
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,7 +24,6 @@ from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_roo
 from .invariants import (
     InvariantReport,
     _report,
-    _torus_chain_sums,
     ado,
     ado_conjectural,
     cgp_from_ado,
@@ -39,7 +38,9 @@ from .invariants import (
     wrt_zero_closed,
 )
 from .knots import (
+    _TORUS_ADO,
     KnotSpec,
+    _chain_column,
     a_at_one,
     a_at_root,
     a_minus_one_closed,
@@ -365,10 +366,11 @@ def _qbinom_multisum_cap(p: int) -> Iterator[InvariantReport]:
     def geom(t):
         return LaurentPoly.univar("x", {4 * p * j: CycNumber.from_int(p, 1) for j in range(t)})
 
-    # a chain sum with top k <= bound does not depend on the bound, so one
-    # transfer pass per t serves both sides of every pair
-    sums = {t: _torus_chain_sums(t, p, 2 * p - 1) for t in (2, 3)}
-    pairs = ((sums[t][p + m], geom(t) * sums[t][m]) for t in (2, 3) for m in range(p))
+    pairs = (
+        (_chain_column(_TORUS_ADO, p, t, p + m), geom(t) * _chain_column(_TORUS_ADO, p, t, m))
+        for t in (2, 3)
+        for m in range(p)
+    )
     yield _agree("qbinom-multisum-cap", {"p": p, "t_max": 3}, pairs)
 
 

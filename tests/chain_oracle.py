@@ -1,7 +1,8 @@
 """Independent enumeration oracle for the chain multi-sums.
 
-The library evaluates every nondecreasing-chain multi-sum with one transfer
-kernel.  This module keeps the direct route: list every chain with
+The library evaluates every nondecreasing-chain multi-sum through memoized
+columns (knots._chain_column, and knots._torus_column for the mirror torus
+sum).  This module keeps the direct route: list every chain with
 itertools.combinations_with_replacement and add up the product of its link
 weights, one chain at a time.  The cost grows like C(n+len-1, len-1), so it
 is only for the small grids of the tests; it shares no code with the kernel.

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +233,24 @@ class TestVerify:
         assert obj["summary"]["failed"] == 0
         assert obj["suites"][0]["suite"] == "jones-consistency"
         assert all(r["pass"] for r in obj["suites"][0]["reports"])
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # verify prints nothing before its suites finish, so with the read end
+        # closed at once its first write fails on every run
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycloknot.cli", "verify", "--suite", "all", "--quick"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+        assert err == b""
 
 
 class TestDeterminism:

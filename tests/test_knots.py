@@ -98,12 +98,12 @@ class TestChains:
 # compared over: (library call, oracle call, parameter tuples).
 _TRANSFER_SITES = {
     "chain_sum_plus": (
-        knots._chain_sum_plus,
+        lambda length, n: knots._chain_column(knots._TWIST_PLUS, None, length, n),
         chain_oracle.chain_sum_plus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
     "chain_sum_minus": (
-        knots._chain_sum_minus,
+        lambda length, n: knots._chain_column(knots._TWIST_MINUS, None, length, n),
         chain_oracle.chain_sum_minus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
@@ -128,7 +128,7 @@ _TRANSFER_SITES = {
         [(t, p) for t in range(1, 4) for p in range(1, 8)],
     ),
     "andrews_side": (
-        lambda t, p, top: invariants._torus_chain_sums(t, p, 2 * p - 1)[top],
+        lambda t, p, top: knots._chain_column(knots._TORUS_ADO, p, t, top),
         chain_oracle.andrews_side,
         [(t, p, top) for t in range(1, 4) for p in range(1, 6) for top in range(2 * p)],
     ),
@@ -140,6 +140,18 @@ def test_transfer_kernel_matches_enumeration(site):
     library, oracle, grid = _TRANSFER_SITES[site]
     for args in grid:
         assert library(*args) == oracle(*args), (site, args)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_column_at_root_is_the_generic_column_at_the_root(p):
+    # the twist columns over Z[zeta_p] are constant in x and equal the
+    # generic columns evaluated at e_p, so a_n(e_p) can be read from them
+    for link in (knots._TWIST_PLUS, knots._TWIST_MINUS):
+        for length in range(1, 6):
+            for n in range(2 * p):
+                generic = eval_at_root(knots._chain_column(link, None, length, n), p)
+                expected = LaurentPoly.univar("x", {0: generic}, p)
+                assert knots._chain_column(link, p, length, n) == expected, (link, length, n)
 
 
 # The knots of the habiro-generic benchmark workload, with the mirrors of its
@@ -170,8 +182,13 @@ class TestSharedColumns:
     def test_chains_deeper_than_the_recursion_limit(self):
         length = 1100
         assert length > sys.getrecursionlimit()
-        assert knots._chain_sum_plus(length, 1) == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
-        assert knots._chain_sum_minus(length, 1) == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
+        plus = knots._chain_column(knots._TWIST_PLUS, None, length, 1)
+        minus = knots._chain_column(knots._TWIST_MINUS, None, length, 1)
+        assert plus == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
+        assert minus == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
+        at_root = knots._chain_column(knots._TWIST_PLUS, 3, length, 1)
+        total = CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
+        assert at_root == LaurentPoly.univar("x", {0: total}, 3)
         for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
             assert habiro_a(parse_knot(spec), 0) == 1, spec
 
@@ -179,7 +196,8 @@ class TestSharedColumns:
         grid = [(parse_knot(spec), n) for spec in ("dt:2,2", "dt:-2,3", "t2:3", "!t2:4") for n in range(6)]
         before = [habiro_a(K, n) for K, n in grid]
         caches = _memoized_functions()
-        assert {"cycloknot.knots.habiro_a", "cycloknot.knots._torus_column", "cycloknot.qtools.qbinomial"} <= set(caches)
+        names = ("knots.habiro_a", "knots._chain_column", "knots._torus_column", "qtools.qbinomial")
+        assert {f"cycloknot.{name}" for name in names} <= set(caches)
         cycloknot.clear_caches()
         assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
         assert [habiro_a(K, n) for K, n in grid] == before

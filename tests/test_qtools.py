@@ -14,7 +14,6 @@ from cycloknot.qtools import (
     brace,
     bracket_poly,
     pochhammer_pair,
-    pochhammer_xq,
     qbinomial,
     qbinomial_at_root,
     qbinomial_balanced,
@@ -137,10 +136,10 @@ class TestQBinomialAtRoot:
         assert direct == eval_at_root(qbinomial(n, k), p) * math.comb(a, b)
 
 
-# Product oracle: the from-scratch loops that pochhammer_xq, pochhammer_pair
-# and sigma ran before they extended their memoized predecessors.  Each n
-# multiplies its factors from i = 1, and the pair uses two 2-term factors
-# where the library uses one merged 4-term factor.
+# Product oracle: the from-scratch loops that pochhammer_pair and sigma ran
+# before they extended their memoized predecessors.  Each n multiplies its
+# factors from i = 1, and the pair uses two 2-term factors where the library
+# uses one merged 4-term factor.
 def _product_oracle(factor, n: int) -> LaurentPoly:
     acc = LaurentPoly.const(("x", "q"), 1)
     for i in range(1, n + 1):
@@ -161,7 +160,6 @@ def _sigma_factor(i: int) -> LaurentPoly:
 
 
 _PRODUCT_ORACLES = {
-    "pochhammer_xq": (pochhammer_xq, lambda n: _product_oracle(_xq_factor, n)),
     "pochhammer_pair": (
         pochhammer_pair,
         lambda n: _product_oracle(_xq_factor, n) * _product_oracle(_x_inv_q_factor, n),
@@ -192,7 +190,6 @@ class TestPochhammer:
     def test_small(self):
         assert pochhammer_pair(0) == 1
         assert pochhammer_pair(1) == xq({(0, 0): 1, (1, 1): -1, (-1, 1): -1, (0, 2): 1})
-        assert pochhammer_xq(1) == xq({(0, 0): 1, (1, 1): -1})
 
     def test_pair_equals_sigma_with_prefactor(self):
         for n in range(13):
