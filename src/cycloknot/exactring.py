@@ -255,11 +255,6 @@ class CycNumber:
             buckets[e % order] += c
         return CycNumber(order, _reduce(order, buckets))
 
-    @staticmethod
-    def root(order: int, k: int = 1) -> CycNumber:
-        """zeta_order**k."""
-        return CycNumber.from_powers(order, {k: 1})
-
     # -- ring structure -----------------------------------------------------
 
     def _coerce(self, other: Union[int, "CycNumber"]) -> "CycNumber":
@@ -493,7 +488,7 @@ class CycNumber:
 
 def zeta(order: int, k: int = 1) -> CycNumber:
     """zeta_order**k, the standard primitive root when k = 1."""
-    return CycNumber.root(order, k)
+    return CycNumber.from_powers(order, {k: 1})
 
 
 Coeff = Union[int, CycNumber]
@@ -709,10 +704,6 @@ class LaurentPoly:
     def const(variables: Iterable[str], c: Coeff) -> "LaurentPoly":
         vs = tuple(variables)
         return LaurentPoly.make(vs, {(0,) * len(vs): c})
-
-    @staticmethod
-    def term(variables: Iterable[str], exps2: tuple[int, ...], c: Coeff = 1) -> "LaurentPoly":
-        return LaurentPoly.make(variables, {tuple(exps2): c})
 
     @staticmethod
     def univar(name: str, terms: Mapping[int, Coeff], order: Optional[int] = None) -> "LaurentPoly":
@@ -1074,9 +1065,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero():
         return LaurentPoly.zero(num.variables, order)
     var = num.variables[0]
-    shift = num.min_exp2(var) - den.min_exp2(var)
-    rem = {e[0] - num.min_exp2(var): c for e, c in num.terms}
-    dterms = sorted((e[0] - den.min_exp2(var), c) for e, c in den.terms)
+    num_min, den_min = num.min_exp2(var), den.min_exp2(var)
+    shift = num_min - den_min
+    rem = {e[0] - num_min: c for e, c in num.terms}
+    dterms = sorted((e[0] - den_min, c) for e, c in den.terms)
     dlead_e, dlead_c = dterms[-1]
     quo: dict[int, Coeff] = {}
     while rem:

@@ -7,20 +7,20 @@ every statement about generic lambda becomes an exact Laurent-polynomial
 identity in u.  CGP results carry their numerator polynomial together with
 tags naming the normalizing factors instead of performing any division.
 
-For a double twist knot, ADO, WRT and the CGP numerator are each
-sum_{m<p} a_m(e_p) K(m, p) over a knot-free kernel K of qtools
-(sigma_at_root, wrt_kernel, cgp_kernel), and colored_jones sums over
-jones_pairs.  The two chain multi-sums of T(2, 2t+1), the q-hypergeometric
-colored Jones and the ADO invariant, read the memoized columns of
-knots._chain_column: at generic q and over Z[zeta_p] respectively.  This
-module holds no cache.
+Every Habiro-linear invariant sums the memoized a_n against a sigma_n
+kernel of qtools: for a double twist knot, ADO, WRT and the CGP numerator
+are each sum_{m<p} a_m(e_p) K(m, p) (_habiro_sum, with K = sigma_at_root,
+wrt_kernel, cgp_kernel), and colored_jones sums a_n against sigma_at_color.
+The two chain multi-sums of T(2, 2t+1), the q-hypergeometric colored Jones
+and the ADO invariant, read the memoized columns of knots._chain_column: at
+generic q and over Z[zeta_p] respectively.  This module holds no cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .exactring import (
     CycNumber,
@@ -36,16 +36,17 @@ from .knots import (
     TorusTwoStrand,
     _chain_column,
     a_at_root,
-    habiro_c,
+    habiro_a,
     is_double_twist_family,
     knot_str,
 )
 from .qtools import (
     _cgp_operator,
     _q,
+    brace,
     cgp_kernel,
-    jones_pairs,
     qbinomial_at_root,
+    sigma_at_color,
     sigma_at_root,
     wrt_kernel,
 )
@@ -57,14 +58,14 @@ from .qtools import (
 
 
 def colored_jones(knot: KnotSpec, N: int) -> LaurentPoly:
-    """J_K(q^N, q) = sum_{n<N} C_n(K;q) (q^(1+N); q)_n (q^(1-N); q)_n.
+    """J_K(q^N, q) = sum_{n<N} a_n(K;q) sigma_n(q^N, q).
 
-    The sum truncates at n = N-1 because (q^(1-N); q)_n vanishes beyond it;
-    the products are the knot-free jones_pairs(N).
+    The sum truncates at n = N-1 because sigma_n(q^N, q) vanishes beyond it;
+    the products are the knot-free sigma_at_color(N).
     """
     total = LaurentPoly.zero(("q",))
-    for n, pair in enumerate(jones_pairs(N)):
-        total = total + habiro_c(knot, n) * pair
+    for n, sig in enumerate(sigma_at_color(N)):
+        total = total + habiro_a(knot, n) * sig
     return total
 
 
@@ -137,10 +138,17 @@ def ado(knot: KnotSpec, p: int) -> AdoPoly:
         return AdoPoly(knot, p, ado(knot.inner, p).poly.galois(-1 % p if p > 1 else 1))
     if isinstance(knot, TorusTwoStrand):
         return AdoPoly(knot, p, _ado_torus(knot.t, p))
-    poly = LaurentPoly.zero(("x",), p)
-    for n in range(p):
-        poly = poly + sigma_at_root(n, p) * a_at_root(knot, n, p)
-    return AdoPoly(knot, p, poly)
+    return AdoPoly(knot, p, _habiro_sum(sigma_at_root, knot, p, LaurentPoly.zero(("x",), p)))
+
+
+def _habiro_sum(
+    kernel: Callable, knot: KnotSpec, p: int, zero: Union[CycNumber, LaurentPoly]
+) -> Union[CycNumber, LaurentPoly]:
+    """sum_{m<p} kernel(m, p) a_m(e_p), in the ring of zero (a_m embedded there)."""
+    total = zero
+    for m in range(p):
+        total = total + kernel(m, p) * a_at_root(knot, m, p).embed(zero.order)
+    return total
 
 
 def _ado_torus(t: int, p: int) -> LaurentPoly:
@@ -219,10 +227,7 @@ def wrt_zero(knot: KnotSpec, p: int) -> CycNumber:
     _require_odd(p)
     if not is_double_twist_family(knot):
         raise ValueError("wrt_zero covers double twist knots; use wrt_torus_direct")
-    total = CycNumber.zero(2 * p)
-    for m in range(p):
-        total = total + wrt_kernel(m, p) * a_at_root(knot, m, p).embed(2 * p)
-    return total
+    return _habiro_sum(wrt_kernel, knot, p, CycNumber.zero(2 * p))
 
 
 def wrt_zero_closed(knot: KnotSpec, p: int) -> CycNumber:
@@ -244,7 +249,7 @@ def wrt_zero_closed(knot: KnotSpec, p: int) -> CycNumber:
 
 def brace_one_squared(p: int) -> CycNumber:
     """{1}^2 = (zeta_2p - zeta_2p^-1)^2, the usual WRT normalization factor."""
-    b = zeta(2 * p, 1) - zeta(2 * p, -1)
+    b = brace(1, p)
     return b * b
 
 
@@ -319,10 +324,7 @@ def cgp_zero(knot: KnotSpec, p: int) -> CgpResult:
     _require_odd(p)
     if not is_double_twist_family(knot):
         raise ValueError("cgp_zero covers double twist knots; use cgp_torus_direct")
-    total = LaurentPoly.zero(("u",), 2 * p)
-    for m in range(p):
-        total = total + cgp_kernel(m, p) * a_at_root(knot, m, p).embed(2 * p)
-    return CgpResult(knot, p, total)
+    return CgpResult(knot, p, _habiro_sum(cgp_kernel, knot, p, LaurentPoly.zero(("u",), 2 * p)))
 
 
 def cgp_from_ado(knot: KnotSpec, p: int) -> CgpResult:

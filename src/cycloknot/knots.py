@@ -8,21 +8,24 @@ cyclotomic expansion of the colored Jones polynomial,
     J_K(x, q) = sum_n C_n(K; q) (xq; q)_n (x^-1 q; q)_n
               = sum_n a_n(K; q) sigma_n(x, q),
 
-with a_n = (-1)^n q^(n(n+1)/2) C_n.  They are computed from the known
-nondecreasing-chain multi-sum formulas for these families.  Each multi-sum is
-split at its last link into memoized columns: the sums over the chains of a
-given length that end at a given value k.  One kernel, _chain_column, holds
-every column whose link weight is a monomial times a q-binomial: the double
-twist sums here and the hyper-Jones and torus ADO sums of invariants.  It is
-keyed by a link-weight descriptor and a ring, generic q or q = e_p over
-Z[zeta_p].  The mirror-torus sum, whose q-binomial depends on the prefix sum,
-keeps its own columns, keyed also by that prefix sum.  A column depends
-neither on the index n nor on the twist parameters, so a_0, ..., a_N, and
-knots whose chains share a prefix, share one set of columns.  The cost is
-polynomial in the chain length rather than one product per chain, and
-columns are filled from below, lowest level first, so chains of any length
-need no deep recursion.  The evaluation inversion habiro_from_jones recovers
-C_n from colored Jones values and serves as an independent cross-check.
+with a_n = (-1)^n q^(n(n+1)/2) C_n.  Only a_n is memoized, and every
+invariant sums it against a sigma_n kernel; C_n is one monomial away.  The
+coefficients are computed from the known nondecreasing-chain multi-sum
+formulas for these families.  Each multi-sum is split at its last link into
+memoized columns: the sums over the chains of a given length that end at a
+given value k.  One kernel, _chain_column, holds every column whose link
+weight is a monomial times a q-binomial: the double twist sums here and the
+hyper-Jones and torus ADO sums of invariants.  It is keyed by a link-weight
+descriptor and a ring, generic q or q = e_p over Z[zeta_p].  The
+mirror-torus sum, whose q-binomial depends on the prefix sum, keeps its own
+columns, keyed also by that prefix sum.  A column depends neither on the
+index n nor on the twist parameters, so a_0, ..., a_N, and knots whose
+chains share a prefix, share one set of columns.  The cost is polynomial in
+the chain length rather than one product per chain, and columns are filled
+from below, lowest level first, so chains of any length need no deep
+recursion.  The evaluation inversion habiro_from_jones recovers C_n from
+colored Jones values (its formula is written in the C basis) and serves as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -275,9 +278,10 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
     return f.substitute("q", new_var="q", exp2=-2)
 
 
-@functools.lru_cache(maxsize=None)
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
-    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n in the cyclotomic expansion."""
+    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n: the unmemoized view
+    (-1)^n q^(-n(n+1)/2) a_n of habiro_a, or for a double twist knot the
+    column product that habiro_a reads."""
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if isinstance(knot, DoubleTwist):

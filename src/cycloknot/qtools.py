@@ -10,12 +10,13 @@ cache needs no Python stack depth that grows with n.
 
 Every memoized product extends its predecessor by one factor rather than
 multiplying from i = 1: qfactorial, qpochhammer, pochhammer_pair, sigma,
-sigma_at_root and the tuple jones_pairs(N).
+sigma_at_root and the tuple sigma_at_color(N).
 
 The knot-free kernels of the invariants are memoized here, once for all
-knots: for a double twist knot, ADO, WRT and the CGP numerator are
-sum_{m<p} a_m(e_p) times sigma_at_root, wrt_kernel and cgp_kernel of (m, p),
-and J_K(q^N, q) = sum_n C_n jones_pairs(N)[n] for every knot.
+knots, all in the sigma basis: for a double twist knot, ADO, WRT and the CGP
+numerator are sum_{m<p} a_m(e_p) times sigma_at_root, wrt_kernel and
+cgp_kernel of (m, p), and J_K(q^N, q) = sum_n a_n sigma_at_color(N)[n] for
+every knot.
 """
 
 from __future__ import annotations
@@ -115,24 +116,20 @@ def qpochhammer(n: int) -> LaurentPoly:
     return qpochhammer(n - 1) * (_q(0) - _q(2 * n))
 
 
-def qbinomial_at_root(n: int, k: int, p: int, root_exponent: int = 1) -> CycNumber:
-    """[n; k] evaluated at q = zeta_p**root_exponent.
+def qbinomial_at_root(n: int, k: int, p: int) -> CycNumber:
+    """[n; k] evaluated at q = zeta_p.
 
-    At a primitive root the factorization [n + a*p; k + b*p] =
-    [n mod p; k mod p] * binomial(a, b) reduces the computation to a small
-    q-binomial and an ordinary binomial coefficient; non-primitive powers fall
-    back to direct evaluation.
+    The q-Lucas factorization [n + a*p; k + b*p] = [n mod p; k mod p] *
+    binomial(a, b) reduces the computation to a small q-binomial and an
+    ordinary binomial coefficient (at p = 1 it is binomial(n, k) itself).
     """
     if p < 1:
         raise ValueError(f"root order must be >= 1, got {p}")
     if k < 0 or k > n:
         return CycNumber.zero(p)
-    if math.gcd(root_exponent, p) == 1 and p > 1:
-        a, n0 = divmod(n, p)
-        b, k0 = divmod(k, p)
-        small = eval_at_root(qbinomial(n0, k0), p, root_exponent)
-        return small * math.comb(a, b)
-    return eval_at_root(qbinomial(n, k), p, root_exponent)
+    a, n0 = divmod(n, p)
+    b, k0 = divmod(k, p)
+    return eval_at_root(qbinomial(n0, k0), p) * math.comb(a, b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,16 +176,16 @@ def sigma_at_root(m: int, p: int) -> LaurentPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def jones_pairs(N: int) -> tuple[LaurentPoly, ...]:
-    """(q^(1+N); q)_n (q^(1-N); q)_n for n < N, that is pochhammer_pair(n) at
-    x = q^N; step n multiplies by (1 - q^(N+n))(1 - q^(n-N))."""
+def sigma_at_color(N: int) -> tuple[LaurentPoly, ...]:
+    """sigma_n(q^N, q) for n < N; step n multiplies by q^N + q^-N - q^n - q^-n,
+    which vanishes at n = N."""
     if N < 1:
         raise ValueError(f"color must be >= 1, got {N}")
-    pairs = [_q(0)]
+    sigmas = [_q(0)]
     for n in range(1, N):
-        step = LaurentPoly.univar("q", {0: 1, 2 * (N + n): -1, 2 * (n - N): -1, 4 * n: 1})
-        pairs.append(pairs[-1] * step)
-    return tuple(pairs)
+        step = LaurentPoly.univar("q", {2 * N: 1, -2 * N: 1, 2 * n: -1, -2 * n: -1})
+        sigmas.append(sigmas[-1] * step)
+    return tuple(sigmas)
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,7 +193,7 @@ def wrt_kernel(m: int, p: int) -> CycNumber:
     """sum_{0<n<2p odd} (zeta_2p^n - zeta_2p^-n)^2 sigma_m(zeta_p^-n, e_p) in Z[zeta_2p]."""
     total = CycNumber.zero(2 * p)
     for n in range(1, 2 * p, 2):
-        br = zeta(2 * p, n) - zeta(2 * p, -n)
+        br = brace(n, p)
         total = total + br * br * eval_at_root(sigma_at_root(m, p), p, -n, order=2 * p)
     return total
 

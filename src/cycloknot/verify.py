@@ -252,7 +252,7 @@ def _torus_T(t: int, p: int) -> Iterator[InvariantReport]:
     yield _report("torus-doublesum-at-1", params, at_one == wrt * 2, at_one, wrt * 2)
     total = CycNumber.zero(2 * p)
     for n in range(1, 2 * p, 2):
-        br = zeta(2 * p, n) - zeta(2 * p, -n)
+        br = brace(n, p)
         total = total + br * br * eval_at_root(colored_jones_hyper_t2(t, n), p, 1, order=2 * p)
     yield _report("torus-wrt-definition", params, wrt == total, wrt, total)
     lhs = cgp_from_ado(torus_two_strand(t), p).numerator * LaurentPoly.univar("u", {0: 1, -4 * p: 1})

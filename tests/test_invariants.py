@@ -37,11 +37,20 @@ from cycloknot.knots import (
     alexander,
     double_twist,
     habiro_a,
+    habiro_c,
     knot_str,
     mirror,
     torus_two_strand,
 )
-from cycloknot.qtools import brace, cgp_kernel, jones_pairs, pochhammer_pair, sigma_at_root, wrt_kernel
+from cycloknot.qtools import (
+    brace,
+    cgp_kernel,
+    pochhammer_pair,
+    sigma,
+    sigma_at_color,
+    sigma_at_root,
+    wrt_kernel,
+)
 
 K11 = double_twist(1, 1)
 K41 = double_twist(-1, 1)
@@ -64,9 +73,10 @@ def alex_minus_x(K):
     return alexander(K).substitute("x", coeff=-1, new_var="x", exp2=2)
 
 
-# Labelled oracles: the per-knot loops that wrt_zero and cgp_zero ran before
-# they became weighted sums over the knot-free kernels of qtools.  They take
-# ADO (or sigma) at each point directly and share no helper with the kernels.
+# Labelled oracles: the per-knot loops that wrt_zero, cgp_zero and
+# colored_jones ran before they became weighted sums over the knot-free
+# kernels of qtools.  They take ADO (or sigma, or the Pochhammer pairs) at
+# each point directly and share no helper with the kernels.
 def wrt_zero_oracle(K, p):
     """sum over odd n < 2p of {n}^2 ADO_K(zeta_p^-n, e_p), ADO evaluated per point."""
     poly = ado(K, p).poly
@@ -91,7 +101,18 @@ def cgp_zero_oracle(K, p):
     return total
 
 
-KERNEL_GRID = [(K, p) for K in FIVE + tuple(mirror(K) for K in FIVE) for p in (3, 5, 7)]
+def colored_jones_oracle(K, N):
+    """sum_{n<N} C_n(K; q) (xq; q)_n (x^-1 q; q)_n at x = q^N: the C-basis loop
+    that colored_jones ran before it summed a_n against sigma_at_color."""
+    total = LaurentPoly.zero(("q",))
+    for n in range(N):
+        total = total + habiro_c(K, n) * pochhammer_pair(n).substitute("x", new_var="q", exp2=2 * N)
+    return total
+
+
+FIVE_AND_MIRRORS = FIVE + tuple(mirror(K) for K in FIVE)
+JONES_KNOTS = FIVE_AND_MIRRORS + tuple(map(torus_two_strand, (1, 2, 3))) + (mirror(torus_two_strand(2)),)
+KERNEL_GRID = [(K, p) for K in FIVE_AND_MIRRORS for p in (3, 5, 7)]
 KERNEL_IDS = [f"{knot_str(K)}-p{p}" for K, p in KERNEL_GRID]
 
 
@@ -121,6 +142,11 @@ class TestColoredJones:
             jn2 = colored_jones_hyper_t2(t, N - 2)
             assert check_torus_recurrence(2, 2 * t + 1, N, jn, jn2)
             assert not check_torus_recurrence(2, 2 * t + 1, N, jn + 1, jn2)
+
+    @pytest.mark.parametrize("K", JONES_KNOTS, ids=knot_str)
+    def test_sigma_basis_matches_the_c_basis_oracle(self, K):
+        for N in range(1, 9):
+            assert colored_jones(K, N) == colored_jones_oracle(K, N), N
 
     def test_recurrence_with_habiro_values(self):
         K = torus_two_strand(1)
@@ -158,12 +184,11 @@ class TestAdo:
             assert ado(mirror(K), 3).poly == ado(K, 3).poly.galois(2)
 
     def test_sigma_expansion_definition(self):
-        p = 5
-        for K in (K41, K2M2):
+        for K, p in KERNEL_GRID:
             total = LaurentPoly.zero(("x",), p)
             for n in range(p):
                 total = total + sigma_at_root(n, p) * a_at_root(K, n, p)
-            assert ado(K, p).poly == total
+            assert ado(K, p).poly == total, (K, p)
 
 
 class TestAdoConjectural:
@@ -224,12 +249,12 @@ class TestKnotFreeKernels:
         assert wrt_zero(K, p) == wrt_zero_oracle(K, p)
         assert cgp_zero(K, p).numerator == cgp_zero_oracle(K, p)
 
-    def test_jones_pairs_are_pochhammer_pairs_at_x_q_to_the_N(self):
+    def test_sigma_at_color_is_sigma_at_x_q_to_the_N(self):
         for N in range(1, 9):
-            pairs = jones_pairs(N)
-            assert len(pairs) == N
-            for n, pair in enumerate(pairs):
-                assert pair == pochhammer_pair(n).substitute("x", new_var="q", exp2=2 * N), (N, n)
+            sigmas = sigma_at_color(N)
+            assert len(sigmas) == N
+            for n, sig in enumerate(sigmas):
+                assert sig == sigma(n).substitute("x", new_var="q", exp2=2 * N), (N, n)
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_wrt_kernel_is_the_sum_over_the_odd_points(self, p):
@@ -245,7 +270,7 @@ class TestKnotFreeKernels:
     def test_kernels_are_memoized_and_immutable(self):
         assert cgp_kernel(2, 5) is cgp_kernel(2, 5)
         assert wrt_kernel(2, 5) is wrt_kernel(2, 5)
-        assert isinstance(jones_pairs(4), tuple)
+        assert isinstance(sigma_at_color(4), tuple)
 
 
 class TestRootPowerSums:

@@ -104,14 +104,10 @@ class TestQBinomialAtRoot:
                 assert eval_at_root(qbinomial(p, k), p).is_zero()
 
     def test_fast_path_matches_direct(self):
-        for p in (2, 3, 5):
+        for p in (1, 2, 3, 5):
             for n in range(2 * p + 2):
                 for k in range(n + 1):
                     assert qbinomial_at_root(n, k, p) == eval_at_root(qbinomial(n, k), p)
-
-    def test_non_primitive_power(self):
-        # q = zeta_6^2 has order 3
-        assert qbinomial_at_root(3, 1, 6, 2) == eval_at_root(qbinomial(3, 1), 3, 1).embed(6)
 
     def test_central_balanced_binomial(self):
         # balanced [2p-1; p] with q^(1/2) = zeta_2p equals (-1)^(p-1) = 1;
