@@ -43,8 +43,10 @@ A product of two polynomials takes one of three shapes:
 
 A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
 shift; such units are found through a memoized reverse index of the reduced
-powers of zeta.  Other non-integer divisors are solved by fraction-free
-(Bareiss) integer elimination.
+powers of zeta.  Every other power, of either type, is the one
+square-and-multiply loop _power over the bits of n from the top: w**1 takes
+no product and w**4 two.  Other non-integer divisors are solved by
+fraction-free (Bareiss) integer elimination.
 """
 
 from __future__ import annotations
@@ -166,6 +168,18 @@ def _power_index(m: int) -> dict[tuple[int, ...], int]:
     return {row: e for e, row in enumerate(_power_rows(m))}
 
 
+def _power(base, n: int, one):
+    """base**n for n >= 0 (`one` at n = 0): no product by one, no square past the top bit."""
+    if n == 0:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
+
+
 def _prime_factors(m: int) -> list[int]:
     out, p = [], 2
     while p * p <= m:
@@ -278,7 +292,10 @@ class CycNumber:
     __radd__ = __add__
 
     def __sub__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
         return (-self) + other
@@ -306,14 +323,7 @@ class CycNumber:
             return CycNumber.from_powers(self.order, ((k * n, -1 if sign < 0 and n % 2 else 1),))
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNumber.from_int(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycNumber.from_int(self.order, 1))
 
     # -- predicates and conversions -----------------------------------------
 
@@ -357,13 +367,7 @@ class CycNumber:
             raise ZeroDivisionError("division by zero in Z[zeta]")
         if other.is_integer():
             d = other.as_int()
-            quots = []
-            for a in self.coeffs:
-                q, r = divmod(a, d)
-                if r:
-                    raise InexactDivisionError(f"{self} is not divisible by {d}")
-                quots.append(q)
-            return CycNumber(self.order, tuple(quots))
+            return CycNumber(self.order, tuple(_int_exact_div(a, d) for a in self.coeffs))
         unit = self._unit_exponent(other)
         if unit is not None:
             k, sign = unit
@@ -797,14 +801,8 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = LaurentPoly.make(self.variables, {(0,) * len(self.variables): 1}, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = LaurentPoly.make(self.variables, {(0,) * len(self.variables): 1}, self.order)
+        return _power(self, n, one)
 
     # -- equality ---------------------------------------------------------------
 
@@ -862,55 +860,44 @@ class LaurentPoly:
         """
         idx = self._var_index(name)
         others = tuple(v for i, v in enumerate(self.variables) if i != idx)
+        # One key rule for every image: drop the old slot (constant image, or
+        # a merge into the other variable) or zero it (in place, or a rename),
+        # then add exp2*e/2 at the target slot.
         if new_var is None:
             if exp2:
                 raise ValueError("constant image cannot carry an exponent")
             if not others:
                 raise ValueError("constant substitution would leave no variables; use evaluate()")
-            new_vars = others
-            tgt = None
-        elif new_var == name:
-            new_vars = self.variables
-            tgt = idx
+            new_vars, tgt = others, 0
         elif new_var in others:
-            new_vars = others
-            tgt = others.index(new_var)
+            new_vars, tgt = others, others.index(new_var)
         else:
             new_vars = tuple(new_var if i == idx else v for i, v in enumerate(self.variables))
             tgt = idx
+        drop = len(new_vars) < len(self.variables)
         order = _combine_orders(self.order, _order_of(coeff))
         acc: dict[tuple[int, ...], Coeff] = {}
         trivial_coeff = coeff == 1
         for exps, c in self.terms:
             e = exps[idx]
-            if trivial_coeff:
-                factor: Coeff = 1
-            else:
+            if not trivial_coeff:
                 if e % 2:
                     raise ValueError(
                         f"half-integer exponent {e}/2 of {name!r} needs a square root "
                         "of the image coefficient"
                     )
-                factor = _coeff_pow(coeff, e // 2)
-            if exp2:
-                num = exp2 * e
-                if num % 2:
-                    raise ValueError("substitution leaves the (1/2)Z exponent lattice")
-                add = num // 2
+                c = c * _coeff_pow(coeff, e // 2)
+            add, half = divmod(exp2 * e, 2)
+            if half:
+                raise ValueError("substitution leaves the (1/2)Z exponent lattice")
+            slots = list(exps)
+            if drop:
+                del slots[idx]
             else:
-                add = 0
-            if new_vars == self.variables and tgt == idx:
-                key = tuple(add if i == idx else v for i, v in enumerate(exps))
-            else:
-                base = [v for i, v in enumerate(exps) if i != idx]
-                if tgt is not None:
-                    if len(new_vars) == len(self.variables):
-                        base.insert(idx, add)
-                    else:
-                        base[tgt] += add
-                key = tuple(base)
-            val = c if trivial_coeff else c * factor
-            acc[key] = acc[key] + val if key in acc else val  # type: ignore[operator]
+                slots[idx] = 0
+            slots[tgt] += add
+            key = tuple(slots)
+            acc[key] = acc[key] + c if key in acc else c  # type: ignore[operator]
         return LaurentPoly.make(new_vars, acc, order)
 
     def evaluate(self, values: Mapping[str, Coeff]) -> Coeff:

@@ -35,6 +35,7 @@ from .knots import (
     Mirror,
     TorusTwoStrand,
     _chain_column,
+    _require_odd,
     a_at_root,
     habiro_a,
     is_double_twist_family,
@@ -187,11 +188,9 @@ def ado_conjectural(s: int, t: int, p: int) -> AdoPoly:
     if p < 1:
         raise ValueError(f"root order must be >= 1, got {p}")
     M = 4 * s * t * p
-    series = LaurentPoly.zero(("x",), M)
-    for l in range(2 * s * t * p + 1):
-        c = chi_st(s, t, l)
-        if c:
-            series = series + LaurentPoly.univar("x", {l: zeta(M, l * l) * c})
+    series = LaurentPoly.univar(
+        "x", {l: zeta(M, l * l) * c for l in range(2 * s * t * p + 1) if (c := chi_st(s, t, l))}, M
+    )
     pref = LaurentPoly.univar(
         "x", {1 - (s - 1) * (t - 1) * p: zeta(M, (s * t) ** 2 - s * s - t * t)}
     )
@@ -209,11 +208,6 @@ def ado_conjectural(s: int, t: int, p: int) -> AdoPoly:
 # ---------------------------------------------------------------------------
 # WRT of the 0-surgery
 # ---------------------------------------------------------------------------
-
-
-def _require_odd(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"need an odd p >= 3, got {p}")
 
 
 def wrt_zero(knot: KnotSpec, p: int) -> CycNumber:
@@ -403,22 +397,23 @@ def wrt_torus_direct(t: int, p: int) -> CycNumber:
     (1/2) sum_{k<p} (-1)^k e_p^((2t+1)k^2/2 + (2t-1)k/2 - (2t+1)k)
           sum_{n<p} e_p^(-2n(t+(2t+1)k)) (e_p^(2n+1) - 1)(1 - e_p^(2k-4n-1)),
 
-    with the half powers of e_p realized in Z[zeta_2p]."""
+    with the half powers of e_p realized in Z[zeta_2p].  Each (k, n) term is
+    expanded into its four signed powers of zeta_2p, and the exponents of all
+    terms are accumulated and reduced once."""
     _require_odd(p)
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    total = CycNumber.zero(2 * p)
+    powers: list[tuple[int, int]] = []
     for k in range(p):
         sign = -1 if k % 2 else 1
-        pref = zeta(2 * p, (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k)
-        inner = CycNumber.zero(2 * p)
+        pref = (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k
         for n in range(p):
-            a = zeta(2 * p, -4 * n * (t + (2 * t + 1) * k))
-            b = zeta(2 * p, 2 * (2 * n + 1)) - 1
-            c = 1 - zeta(2 * p, 2 * (2 * k - 4 * n - 1))
-            inner = inner + a * b * c
-        total = total + pref * inner * sign
-    return total.exact_div(2)
+            a = pref - 4 * n * (t + (2 * t + 1) * k)
+            b = 2 * (2 * n + 1)
+            c = 2 * (2 * k - 4 * n - 1)
+            # zeta^a (zeta^b - 1)(1 - zeta^c)
+            powers += ((a + b, sign), (a + b + c, -sign), (a, -sign), (a + c, sign))
+    return CycNumber.from_powers(2 * p, powers).exact_div(2)
 
 
 def cgp_torus_direct(t: int, p: int) -> CgpResult:
@@ -427,35 +422,31 @@ def cgp_torus_direct(t: int, p: int) -> CgpResult:
     sum_{k<p} (-1)^k e_p^((2t+1)k^2/2 + (2t-1)k/2 - (lambda+1)(2t+1)k)
       sum_{n<p} e_p^(-2n(k(2t+1)+t)) (e_p^(lambda+2n+1) - 1)(1 - e_p^(2k-1-2lambda-4n)),
 
-    kept symbolic in u = e_{2p}^lambda.  The tagged normalization is
-    u^(2(p-1)t) / ((u^p - u^-p)^2 (1 + u^-2p)); DoubleSum(1) equals twice
-    wrt_torus_direct(t, p)."""
+    kept symbolic in u = e_{2p}^lambda.  Each (k, n) term is expanded into
+    four signed monomials zeta_2p^z u^e; the zeta-exponents are accumulated
+    per u-exponent and each coefficient is reduced once.  The tagged
+    normalization is u^(2(p-1)t) / ((u^p - u^-p)^2 (1 + u^-2p)); DoubleSum(1)
+    equals twice wrt_torus_direct(t, p)."""
     _require_odd(p)
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    total = LaurentPoly.zero(("u",), 2 * p)
+    by_u: dict[int, list[tuple[int, int]]] = {}
     for k in range(p):
         sign = -1 if k % 2 else 1
-        pref = LaurentPoly.univar(
-            "u",
-            {
-                -4 * (2 * t + 1) * k: zeta(
-                    2 * p, (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k
-                )
-                * sign
-            },
-        )
-        inner = LaurentPoly.zero(("u",), 2 * p)
+        pref = (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k
+        shift = -4 * (2 * t + 1) * k
         for n in range(p):
-            a = zeta(2 * p, -4 * n * (k * (2 * t + 1) + t))
-            first = LaurentPoly.univar(
-                "u", {4: zeta(2 * p, 2 * (2 * n + 1)), 0: CycNumber.from_int(2 * p, -1)}
-            )
-            second = LaurentPoly.univar(
-                "u", {0: CycNumber.from_int(2 * p, 1), -8: -zeta(2 * p, 2 * (2 * k - 1 - 4 * n))}
-            )
-            inner = inner + first * second * a
-        total = total + pref * inner
+            a = pref - 4 * n * (k * (2 * t + 1) + t)
+            b = 2 * (2 * n + 1)
+            c = 2 * (2 * k - 1 - 4 * n)
+            # zeta^a u^(shift/2) (zeta^b u^2 - 1)(1 - zeta^c u^-4); e is a doubled u-exponent
+            for e, z, s in (
+                (4, a + b, sign), (-4, a + b + c, -sign), (0, a, -sign), (-8, a + c, sign)
+            ):
+                by_u.setdefault(shift + e, []).append((z, s))
+    total = LaurentPoly.univar(
+        "u", {e: CycNumber.from_powers(2 * p, pairs) for e, pairs in by_u.items()}, 2 * p
+    )
     return CgpResult(
         TorusTwoStrand(t),
         p,

@@ -116,26 +116,18 @@ class KnotParseError(ValueError):
 
 def parse_knot(text: str) -> KnotSpec:
     """Parse the CLI knot syntax: dt:l,m / t2:t, with ! prefix for mirror."""
-    body = text
-    mirrored = False
-    if body.startswith("!"):
-        mirrored = True
-        body = body[1:]
-    m = _DT_RE.match(body)
-    if m:
-        try:
-            knot: KnotSpec = double_twist(int(m.group(1)), int(m.group(2)))
-        except ValueError as exc:
-            raise KnotParseError(f"bad knot spec {text!r}: {exc}; {_KNOT_GRAMMAR}") from None
-    else:
-        m = _T2_RE.match(body)
-        if m:
-            try:
-                knot = torus_two_strand(int(m.group(1)))
-            except ValueError as exc:
-                raise KnotParseError(f"bad knot spec {text!r}: {exc}; {_KNOT_GRAMMAR}") from None
+    mirrored = text.startswith("!")
+    body = text[1:] if mirrored else text
+    dt, t2 = _DT_RE.match(body), _T2_RE.match(body)
+    if not (dt or t2):
+        raise KnotParseError(f"unrecognized knot spec {text!r}; {_KNOT_GRAMMAR}")
+    try:
+        if dt:
+            knot: KnotSpec = double_twist(int(dt.group(1)), int(dt.group(2)))
         else:
-            raise KnotParseError(f"unrecognized knot spec {text!r}; {_KNOT_GRAMMAR}")
+            knot = torus_two_strand(int(t2.group(1)))
+    except ValueError as exc:
+        raise KnotParseError(f"bad knot spec {text!r}: {exc}; {_KNOT_GRAMMAR}") from None
     return mirror(knot) if mirrored else knot
 
 
@@ -411,17 +403,20 @@ def _t25_root_sum(p: int) -> CycNumber:
     return acc
 
 
-def t25_a_p_closed(p: int) -> CycNumber:
-    """a_p(e_p) for the mirror of T(2,5): -2 - sum_j zeta_p^(j^2-1) [j; 2j-1-p]."""
+def _require_odd(p: int) -> None:
     if p < 3 or p % 2 == 0:
         raise ValueError(f"need an odd p >= 3, got {p}")
+
+
+def t25_a_p_closed(p: int) -> CycNumber:
+    """a_p(e_p) for the mirror of T(2,5): -2 - sum_j zeta_p^(j^2-1) [j; 2j-1-p]."""
+    _require_odd(p)
     return CycNumber.from_int(p, -2) - zeta(p, -1) * _t25_root_sum(p)
 
 
 def t25_a_mp_closed(m: int, p: int) -> CycNumber:
     """a_{mp}(e_p) for the mirror of T(2,5), from the binomial-reduced double sum."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"need an odd p >= 3, got {p}")
+    _require_odd(p)
     if m < 0:
         raise ValueError(f"index must be >= 0, got {m}")
     sign = -1 if m % 2 else 1

@@ -112,6 +112,11 @@ class TestCycNumber:
         with pytest.raises(ZeroDivisionError):
             CycNumber.from_int(5, 1).exact_div(CycNumber.zero(5))
 
+    def test_subtracting_a_polynomial_hands_off_to_it(self):
+        f = LaurentPoly.univar("x", {2: 1}, 3)
+        assert zeta(3) - f == LaurentPoly.univar("x", {0: zeta(3), 2: -1}, 3)
+        assert zeta(3) - f == -(f - zeta(3))
+
     def test_truthiness_is_nonzero(self):
         # like an int: zero is falsy, including a sum that reduces to zero
         assert not CycNumber.zero(5)
@@ -215,6 +220,31 @@ class TestCycPowers:
             base**-1
 
 
+@pytest.mark.parametrize(
+    "base", [zeta(5) + 2, LaurentPoly.univar("v", {4: 1, -4: 1})], ids=["cyc", "poly"]
+)
+def test_power_takes_no_wasted_products(base, monkeypatch):
+    # square-and-multiply from the top bit: no product by one, no square past the top bit
+    cls = type(base)
+    mul = cls.__mul__
+    count = [0]
+
+    def counting_mul(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    for n, products in [(0, 0), (1, 0), (2, 1), (4, 2)]:
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        count[0] = 0
+        value = base**n
+        monkeypatch.undo()
+        assert count[0] == products, n
+        want = base
+        for _ in range(n - 1):
+            want = want * base
+        assert value == (want if n else 1)
+
+
 class TestCycDivisionAndHash:
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from([1, 2, 3, 4, 6, 15, 30, 728]), st.data())
@@ -301,6 +331,17 @@ class TestLaurentPoly:
         g = LaurentPoly.univar("x", {2 * p: 1})
         img = g.substitute("x", coeff=zeta(p, 2 * n + 1), new_var="u", exp2=4)
         assert img == LaurentPoly.univar("u", {4 * p: 1}).with_order(p)
+        # 3 x q^2 - x^-1 + 2 q^-1
+        h = LaurentPoly.make(("x", "q"), {(2, 4): 3, (-2, 0): -1, (0, -2): 2})
+        # rename: x -> u^2, then q -> v
+        renamed = LaurentPoly.make(("u", "q"), {(4, 4): 3, (-4, 0): -1, (0, -2): 2})
+        assert h.substitute("x", new_var="u", exp2=4) == renamed
+        assert h.substitute("q", new_var="v", exp2=2) == LaurentPoly.make(("x", "v"), h.terms)
+        # merge: x -> q, x -> -q^(1/2), q -> x^2
+        assert h.substitute("x", new_var="q", exp2=2) == LaurentPoly.univar("q", {6: 3, -2: 1})
+        merged = h.substitute("x", coeff=-1, new_var="q", exp2=1)
+        assert merged == LaurentPoly.univar("q", {5: -3, -1: 1, -2: 2})
+        assert h.substitute("q", new_var="x", exp2=4) == LaurentPoly.univar("x", {10: 3, -2: -1, -4: 2})
 
     def test_substitute_sigma1_cancellation(self):
         # sigma_1(x, q) at q = zeta_3, x -> zeta_3 collapses to 0

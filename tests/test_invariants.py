@@ -110,6 +110,66 @@ def colored_jones_oracle(K, N):
     return total
 
 
+# Labelled oracles: the per-term loops that wrt_torus_direct, cgp_torus_direct
+# and the chi-series of ado_conjectural ran before they accumulated exponents
+# and reduced once.  Each (k, n) term is a CycNumber or LaurentPoly product,
+# added one at a time.
+def wrt_torus_direct_oracle(t, p):
+    total = CycNumber.zero(2 * p)
+    for k in range(p):
+        sign = -1 if k % 2 else 1
+        pref = zeta(2 * p, (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k)
+        inner = CycNumber.zero(2 * p)
+        for n in range(p):
+            a = zeta(2 * p, -4 * n * (t + (2 * t + 1) * k))
+            b = zeta(2 * p, 2 * (2 * n + 1)) - 1
+            c = 1 - zeta(2 * p, 2 * (2 * k - 4 * n - 1))
+            inner = inner + a * b * c
+        total = total + pref * inner * sign
+    return total.exact_div(2)
+
+
+def cgp_torus_direct_oracle(t, p):
+    """The DoubleSum(u) numerator, one LaurentPoly product per (k, n) term."""
+    total = LaurentPoly.zero(("u",), 2 * p)
+    for k in range(p):
+        sign = -1 if k % 2 else 1
+        pref_zeta = zeta(2 * p, (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k)
+        pref = LaurentPoly.univar("u", {-4 * (2 * t + 1) * k: pref_zeta * sign})
+        inner = LaurentPoly.zero(("u",), 2 * p)
+        for n in range(p):
+            a = zeta(2 * p, -4 * n * (k * (2 * t + 1) + t))
+            first = LaurentPoly.univar(
+                "u", {4: zeta(2 * p, 2 * (2 * n + 1)), 0: CycNumber.from_int(2 * p, -1)}
+            )
+            second = LaurentPoly.univar(
+                "u", {0: CycNumber.from_int(2 * p, 1), -8: -zeta(2 * p, 2 * (2 * k - 1 - 4 * n))}
+            )
+            inner = inner + first * second * a
+        total = total + pref * inner
+    return total
+
+
+def ado_conjectural_oracle(s, t, p):
+    """The chi-series closed form with the series built one added term at a time."""
+    M = 4 * s * t * p
+    series = LaurentPoly.zero(("x",), M)
+    for l in range(2 * s * t * p + 1):
+        c = chi_st(s, t, l)
+        if c:
+            series = series + LaurentPoly.univar("x", {l: zeta(M, l * l) * c})
+    pref = LaurentPoly.univar(
+        "x", {1 - (s - 1) * (t - 1) * p: zeta(M, (s * t) ** 2 - s * s - t * t)}
+    )
+    num = pref * LaurentPoly.univar("x", {0: 1, 2 * p: -1}) * series
+    den = (
+        LaurentPoly.univar("x", {0: 1, 2: -1})
+        * LaurentPoly.univar("x", {0: 1, 2 * s * p: -1})
+        * LaurentPoly.univar("x", {0: 1, 2 * t * p: -1})
+    )
+    return exact_div(num, den)
+
+
 FIVE_AND_MIRRORS = FIVE + tuple(mirror(K) for K in FIVE)
 JONES_KNOTS = FIVE_AND_MIRRORS + tuple(map(torus_two_strand, (1, 2, 3))) + (mirror(torus_two_strand(2)),)
 KERNEL_GRID = [(K, p) for K in FIVE_AND_MIRRORS for p in (3, 5, 7)]
@@ -201,6 +261,10 @@ class TestAdoConjectural:
             conj = ado_conjectural(2, 2 * t + 1, p).poly
             direct = ado(torus_two_strand(t), p).poly
             assert conj == direct.with_order(4 * 2 * (2 * t + 1) * p)
+
+    @pytest.mark.parametrize("t, p", [(1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 3)])
+    def test_one_call_series_matches_the_per_term_oracle(self, t, p):
+        assert ado_conjectural(2, 2 * t + 1, p).poly == ado_conjectural_oracle(2, 2 * t + 1, p)
 
     def test_no_half_exponents_after_division(self):
         poly = ado_conjectural(2, 5, 3).poly
@@ -357,6 +421,14 @@ class TestTorusSurgeries:
         for t, p in [(1, 3), (2, 3), (1, 5), (2, 5)]:
             res = cgp_torus_direct(t, p)
             assert res.numerator.evaluate({"u": 1}) == wrt_torus_direct(t, p) * 2
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_exponent_sums_match_the_per_term_oracles(self, t, p):
+        assert wrt_torus_direct(t, p) == wrt_torus_direct_oracle(t, p)
+        numerator = cgp_torus_direct(t, p).numerator
+        assert numerator.order == 2 * p
+        assert numerator == cgp_torus_direct_oracle(t, p)
 
     def test_tags(self):
         res = cgp_torus_direct(2, 3)
