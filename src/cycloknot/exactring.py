@@ -297,7 +297,10 @@ class CycNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
+    def __rsub__(self, other: int) -> "CycNumber":
+        # only an int reaches here: a CycNumber on the left runs its own __sub__
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self) -> "CycNumber":
@@ -616,13 +619,31 @@ def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:
     """The canonical terms times the monomial with coefficient c != 0 and exponents shift.
 
     Z and Z[zeta_m] are integral domains, so no coefficient vanishes, and a
-    shift keeps the lexicographic order, so nothing is dropped or sorted.
+    shift keeps the lexicographic order, so nothing is dropped or sorted.  A
+    unit c = +-zeta**k is found once, and then shifts each coefficient's
+    powers of zeta by k instead of multiplying.
     """
+    if isinstance(c, CycNumber) and (unit := CycNumber._unit_exponent(c)) is not None:
+        k, sign = unit
+        return tuple(
+            [(tuple(map(operator.add, e, shift)), _unit_times(d, c.order, k, sign)) for e, d in terms]
+        )
     if len(shift) == 1:
         (s,) = shift
         return tuple([((e + s,), d * c) for (e,), d in terms])
     s, t = shift
     return tuple([((e + s, f + t), d * c) for (e, f), d in terms])
+
+
+def _unit_times(d: Coeff, m: int, k: int, sign: int) -> CycNumber:
+    """sign * zeta_m**k * d, for 0 <= k < m: d's power vector rotated by k and reduced once."""
+    if isinstance(d, int):
+        d = CycNumber.from_int(m, d)
+    if k == 0 and sign == 1:
+        return d
+    coeffs = d.coeffs
+    powers = [sign * x for x in coeffs] + [0] * (m - len(coeffs))
+    return CycNumber(m, _reduce(m, powers[m - k :] + powers[: m - k]))
 
 
 def _sparse_coords(terms: _Terms) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -765,9 +786,13 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other: Union[Coeff, "LaurentPoly"]) -> "LaurentPoly":
-        return self + (-other if isinstance(other, (int, CycNumber, LaurentPoly)) else other)
+        if not isinstance(other, (int, CycNumber, LaurentPoly)):
+            return NotImplemented
+        return self + (-other)
 
-    def __rsub__(self, other: Union[Coeff, "LaurentPoly"]) -> "LaurentPoly":
+    def __rsub__(self, other: Coeff) -> "LaurentPoly":
+        if not isinstance(other, (int, CycNumber)):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self) -> "LaurentPoly":

@@ -18,14 +18,24 @@ weight is a monomial times a q-binomial: the double twist sums here and the
 hyper-Jones and torus ADO sums of invariants.  It is keyed by a link-weight
 descriptor and a ring, generic q or q = e_p over Z[zeta_p].  The
 mirror-torus sum, whose q-binomial depends on the prefix sum, keeps its own
-columns, keyed also by that prefix sum.  A column depends neither on the
-index n nor on the twist parameters, so a_0, ..., a_N, and knots whose
-chains share a prefix, share one set of columns.  The cost is polynomial in
-the chain length rather than one product per chain, and columns are filled
-from below, lowest level first, so chains of any length need no deep
-recursion.  The evaluation inversion habiro_from_jones recovers C_n from
-colored Jones values (its formula is written in the C basis) and serves as
-an independent cross-check.
+columns, _torus_column, keyed by the same ring and also by that prefix sum.
+A column depends neither on the index n nor on the twist parameters, so
+a_0, ..., a_N, and knots whose chains share a prefix, share one set of
+columns.  The cost is polynomial in the chain length rather than one product
+per chain, and columns are filled from below, lowest level first, so chains
+of any length need no deep recursion.
+
+a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the same
+columns in the ring p, where each column entry is one element of Z[zeta_p]
+(the q-binomials through q-Lucas), the prefactors are powers of zeta_p, and
+q -> 1/q is the Galois map zeta -> 1/zeta.  No polynomial in q is built, so
+its cost does not grow with the degree of a_n(q).  The generic route,
+eval_at_root(habiro_a(K, n), p), gives the same value and stays an
+independent oracle in the tests; a_at_one keeps to the generic route, so
+that the periodicity check a_{n+kp}(e_p) = a_n(e_p) a_k(1) compares the two.
+The evaluation inversion habiro_from_jones recovers C_n from colored Jones
+values (its formula is written in the C basis) and serves as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .exactring import CycNumber, LaurentPoly, eval_at_root, exact_div, zeta
+from .exactring import CycNumber, LaurentPoly, exact_div, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -217,33 +227,59 @@ def _chain_column(
     return _shifted_sum(terms(), "q" if ring is None else "x", ring)
 
 
-def _torus_links(i: int, k: int) -> Iterator[tuple[int, tuple[int, LaurentPoly, LaurentPoly]]]:
+def _link_sum(terms: Iterable[tuple[int, object, object]], ring: Optional[int]):
+    """sum of q^(e/2) w f over the triples (e, w, f): the polynomial in q of
+    _shifted_sum, or with ring p its value at q = e_p in Z[zeta_p], with every
+    power of zeta added into one vector and reduced once."""
+    if ring is None:
+        return _shifted_sum(terms)
+    return CycNumber.from_powers(
+        ring, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
+    )
+
+
+def _monomial(e2: int, sign: int, ring: Optional[int]):
+    """sign * q^(e2/2), or with ring p its value at q = e_p (e2 even)."""
+    return _q(e2, sign) if ring is None else zeta(ring, e2 // 2) * sign
+
+
+def _torus_links(
+    ring: Optional[int], i: int, k: int
+) -> Iterator[tuple[int, tuple[int, object, object]]]:
     """The terms of T(i, k, .) by the last link j = k_{i-1} <= k = k_i.
 
     Yields (P, (e, w, T(i-1, j, P'))) with P = P' + j, where w q^(e/2) is
     the link weight q^(j^2) [k + j - (i-1) + 2P'; k - j] of the mirror torus
-    sum.
+    sum; with ring p, w is the q-binomial at q = e_p and the links whose
+    binomial vanishes there are skipped.
     """
     for j in range(1, k + 1):
-        for prefix, value in _torus_column(i - 1, j).items():
-            yield prefix + j, (2 * j * j, qbinomial(k + j - i + 1 + 2 * prefix, k - j), value)
+        for prefix, value in _torus_column(ring, i - 1, j).items():
+            top, low = k + j - i + 1 + 2 * prefix, k - j
+            binom = qbinomial(top, low) if ring is None else qbinomial_at_root(top, low, ring)
+            if not binom.is_zero():
+                yield prefix + j, (2 * j * j, binom, value)
 
 
 @functools.lru_cache(maxsize=None)
-def _torus_column(i: int, k: int) -> dict[int, LaurentPoly]:
+def _torus_column(
+    ring: Optional[int], i: int, k: int
+) -> dict[int, Union[LaurentPoly, CycNumber]]:
     """{P: T(i, k, P)}: the sum over chains 1 <= k_1 <= ... <= k_i = k with
     k_1 + ... + k_{i-1} = P of the first i - 1 link weights of the mirror
-    torus sum.  T depends on neither t nor n, so every T(2, 2t+1) shares it.
+    torus sum.  With ring None each T is a polynomial in q; with ring p it
+    is its value at q = e_p, one element of Z[zeta_p].  T depends on neither
+    t nor n, so every T(2, 2t+1) shares it.
     """
     if i == 1:
-        return {0: _q(0)}
+        return {0: _monomial(0, 1, ring)}
     parts: dict[int, list] = {}
-    for prefix, term in _torus_links(i, k):
+    for prefix, term in _torus_links(ring, i, k):
         parts.setdefault(prefix, []).append(term)
-    return {prefix: _shifted_sum(terms) for prefix, terms in parts.items()}
+    return {prefix: _link_sum(terms, ring) for prefix, terms in parts.items()}
 
 
-def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
+def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
     """a_n of the mirror of T(2, 2t+1), as a chain multi-sum.
 
     a_n = (-1)^n q^(n(n+1)/2 + n + 1 - t)
@@ -252,13 +288,17 @@ def _mirror_torus_a(t: int, n: int) -> LaurentPoly:
 
     The q-binomial depends on the prefix sum, so the sum is sum_P T(t, n+1, P)
     over the memoized columns T(i, k, P) of _torus_column.  The top level is
-    summed on the fly rather than cached: it is used once per (t, n).
+    summed on the fly rather than cached: it is used once per (t, n).  With
+    ring p the whole sum is taken at q = e_p, in Z[zeta_p].
     """
     sign = -1 if n % 2 else 1
     top = n + 1
-    _fill_below(_torus_column, t, lambda i: range(1, top + 1))
-    total = _shifted_sum(term for _, term in _torus_links(t, top)) if t > 1 else _q(0)
-    return _q(n * (n + 1) + 2 * (top - t), sign) * total
+    _fill_below(functools.partial(_torus_column, ring), t, lambda i: range(1, top + 1))
+    if t == 1:
+        total = _monomial(0, 1, ring)
+    else:
+        total = _link_sum((term for _, term in _torus_links(ring, t, top)), ring)
+    return _monomial(n * (n + 1) + 2 * (top - t), sign, ring) * total
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +310,23 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
     return f.substitute("q", new_var="q", exp2=-2)
 
 
+def _twist_column(link: tuple[int, int, int, int], ring: Optional[int], length: int, n: int):
+    """The twist column C(length, n) in q, or with ring p its value at q = e_p
+    (a twist link carries no x, so the column over Z[zeta_p] is a constant)."""
+    column = _chain_column(link, ring, length, n)
+    return column if ring is None else column.coefficient((0,))
+
+
+def _twist_c(knot: DoubleTwist, n: int, ring: Optional[int]):
+    """C_n of a double twist knot, the product of two twist columns and a
+    monomial: a polynomial in q, or with ring p its value at q = e_p."""
+    plus = _twist_column(_TWIST_PLUS, ring, knot.m, n)
+    if knot.l > 0:
+        return _monomial(2 * n, 1, ring) * _twist_column(_TWIST_PLUS, ring, knot.l, n) * plus
+    sign = -1 if n % 2 else 1
+    return _monomial(-n * (n + 1), sign, ring) * plus * _twist_column(_TWIST_MINUS, ring, -knot.l, n)
+
+
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
     """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n: the unmemoized view
     (-1)^n q^(-n(n+1)/2) a_n of habiro_a, or for a double twist knot the
@@ -277,11 +334,7 @@ def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if isinstance(knot, DoubleTwist):
-        plus = _chain_column(_TWIST_PLUS, None, knot.m, n)
-        if knot.l > 0:
-            return _q(2 * n) * _chain_column(_TWIST_PLUS, None, knot.l, n) * plus
-        sign = -1 if n % 2 else 1
-        return _q(-n * (n + 1), sign) * plus * _chain_column(_TWIST_MINUS, None, -knot.l, n)
+        return _twist_c(knot, n, None)
     if isinstance(knot, (TorusTwoStrand, Mirror)):
         sign = -1 if n % 2 else 1
         return _q(-n * (n + 1), sign) * habiro_a(knot, n)
@@ -297,10 +350,10 @@ def habiro_a(knot: KnotSpec, n: int) -> LaurentPoly:
         sign = -1 if n % 2 else 1
         return _q(n * (n + 1), sign) * habiro_c(knot, n)
     if isinstance(knot, TorusTwoStrand):
-        return _q_inverted(_mirror_torus_a(knot.t, n))
+        return _q_inverted(_mirror_torus_a(knot.t, n, None))
     if isinstance(knot, Mirror):
         if isinstance(knot.inner, TorusTwoStrand):
-            return _mirror_torus_a(knot.inner.t, n)
+            return _mirror_torus_a(knot.inner.t, n, None)
         return _q_inverted(habiro_a(knot.inner, n))
     raise ValueError(f"unsupported knot spec {knot!r}")
 
@@ -315,8 +368,27 @@ def a_at_one(knot: KnotSpec, k: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def a_at_root(knot: KnotSpec, n: int, p: int) -> CycNumber:
-    """a_n(K; e_p) in Z[zeta_p]."""
-    return eval_at_root(habiro_a(knot, n), p)
+    """a_n(K; e_p) in Z[zeta_p], computed in Z[zeta_p] throughout.
+
+    It reads habiro_a's columns and prefactors in the ring p, where each
+    column entry is one element of Z[zeta_p] and q -> 1/q is the Galois map
+    zeta -> 1/zeta, so no polynomial in q is built.  eval_at_root(habiro_a(K,
+    n), p) is the same value by the generic route.
+    """
+    if n < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {n}")
+    if p < 1:
+        raise ValueError(f"root order must be >= 1, got {p}")
+    if isinstance(knot, DoubleTwist):
+        sign = -1 if n % 2 else 1
+        return _monomial(n * (n + 1), sign, p) * _twist_c(knot, n, p)
+    if isinstance(knot, TorusTwoStrand):
+        return _mirror_torus_a(knot.t, n, p).galois(-1)
+    if isinstance(knot, Mirror):
+        if isinstance(knot.inner, TorusTwoStrand):
+            return _mirror_torus_a(knot.inner.t, n, p)
+        return a_at_root(knot.inner, n, p).galois(-1)
+    raise ValueError(f"unsupported knot spec {knot!r}")
 
 
 # ---------------------------------------------------------------------------

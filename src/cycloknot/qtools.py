@@ -120,8 +120,9 @@ def qbinomial_at_root(n: int, k: int, p: int) -> CycNumber:
     """[n; k] evaluated at q = zeta_p.
 
     The q-Lucas factorization [n + a*p; k + b*p] = [n mod p; k mod p] *
-    binomial(a, b) reduces the computation to a small q-binomial and an
-    ordinary binomial coefficient (at p = 1 it is binomial(n, k) itself).
+    binomial(a, b) reduces the computation to a small q-binomial, whose
+    value at zeta_p is memoized, and an ordinary binomial coefficient (at
+    p = 1 it is binomial(n, k) itself).
     """
     if p < 1:
         raise ValueError(f"root order must be >= 1, got {p}")
@@ -129,7 +130,16 @@ def qbinomial_at_root(n: int, k: int, p: int) -> CycNumber:
         return CycNumber.zero(p)
     a, n0 = divmod(n, p)
     b, k0 = divmod(k, p)
-    return eval_at_root(qbinomial(n0, k0), p) * math.comb(a, b)
+    scale = math.comb(a, b)
+    value = _qbinomial_residue(n0, k0, p)
+    return value if scale == 1 else value * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _qbinomial_residue(n0: int, k0: int, p: int) -> CycNumber:
+    """[n0; k0] at q = zeta_p for n0, k0 < p: the small q-binomials that
+    q-Lucas reduces every [n; k] to, each evaluated once."""
+    return eval_at_root(qbinomial(n0, k0), p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -117,6 +117,20 @@ class TestCycNumber:
         assert zeta(3) - f == LaurentPoly.univar("x", {0: zeta(3), 2: -1}, 3)
         assert zeta(3) - f == -(f - zeta(3))
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (LaurentPoly.univar("x", {0: 1}), "a"),
+            ("a", zeta(3)),
+            (LaurentPoly.univar("x", {2: 1}), 1.5),
+            ("a", LaurentPoly.univar("x", {2: 1})),
+        ],
+        ids=["poly-str", "str-cyc", "poly-float", "str-poly"],
+    )
+    def test_failed_subtraction_names_minus(self, left, right):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+            left - right
+
     def test_truthiness_is_nonzero(self):
         # like an int: zero is falsy, including a sum that reduces to zero
         assert not CycNumber.zero(5)
@@ -672,6 +686,28 @@ class TestCyclotomicProductKernel:
         for h in (f * mono, mono * f):
             assert_canonical(h)
             assert h == expected and h.terms == per_pair_reduced_mul(f, mono)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 15]), st.integers(-30, 30), st.sampled_from([1, -1]),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    def test_unit_scalars_shift_without_products(self, m, k, sign, coords):
+        # a scalar +-zeta**k shifts the powers of zeta in each coefficient: no CycNumber product
+        coeffs = {2 * i: CycNumber.from_powers(m, {i: c, i + 1: 1}) for i, c in enumerate(coords)}
+        f = LaurentPoly.univar("x", coeffs, m)
+        g = LaurentPoly.univar("x", {2 * i: c for i, c in enumerate(coords)})
+        unit = zeta(m, k) * sign
+        expected = [LaurentPoly.make(("x",), [(e, c * unit) for e, c in h.terms], m) for h in (f, g)]
+        products = []
+        mul = CycNumber.__mul__
+        CycNumber.__mul__ = CycNumber.__rmul__ = lambda a, b: products.append(1) or mul(a, b)
+        try:
+            got = [f * unit, g * unit]
+        finally:
+            CycNumber.__mul__ = CycNumber.__rmul__ = mul
+        assert not products
+        assert got == expected
+        for h in got:
+            assert_canonical(h)
 
 
 class TestEvalAtRoot:

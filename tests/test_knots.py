@@ -154,6 +154,60 @@ def test_column_at_root_is_the_generic_column_at_the_root(p):
                 assert knots._chain_column(link, p, length, n) == expected, (link, length, n)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
+def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
+    # the (k, P) columns over Z[zeta_p] hold the generic columns' values at
+    # e_p (a prefix whose binomials all vanish there is left out), and their
+    # sum is the chain-by-chain oracle evaluated at e_p
+    for t in range(1, 6):
+        for n in range(7):
+            expected = eval_at_root(chain_oracle.mirror_torus_a(t, n), p)
+            assert knots._mirror_torus_a(t, n, p) == expected, (t, n)
+    for i in range(1, 5):
+        for k in range(1, 7):
+            at_root = knots._torus_column(p, i, k)
+            generic = knots._torus_column(None, i, k)
+            assert set(at_root) <= set(generic), (i, k)
+            for prefix, value in generic.items():
+                assert at_root.get(prefix, 0) == eval_at_root(value, p), (i, k, prefix)
+
+
+# Oracle: the generic route, eval_at_root(habiro_a(K, n), p), for a_at_root,
+# which never builds a polynomial in q.  Every shape and sign pattern at every
+# p; the longer chains only up to p = 7, where the generic route is still quick.
+_AT_ROOT_KNOTS = ("dt:1,2", "dt:-1,2", "!dt:2,1", "t2:2", "!t2:2")
+_AT_ROOT_LONGER = ("dt:2,-2", "dt:-2,3", "!dt:-1,3", "t2:3", "!t2:3")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 13])
+def test_a_at_root_matches_the_generic_route_oracle(p):
+    for spec in _AT_ROOT_KNOTS + (_AT_ROOT_LONGER if p <= 7 else ()):
+        K = parse_knot(spec)
+        for n in range(2 * p if "t2:" in spec else 4 * p):
+            assert a_at_root(K, n, p) == eval_at_root(habiro_a(K, n), p), (spec, n)
+
+
+def test_a_at_root_builds_no_generic_coefficient(monkeypatch):
+    # the at-root route reads only Z[zeta_p] columns: no habiro_a entry and no
+    # column call with the generic ring None
+    cycloknot.clear_caches()
+    rings = []
+
+    def record(column, ring_slot):
+        def wrapper(*args):
+            rings.append(args[ring_slot])
+            return column(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(knots, "_chain_column", record(knots._chain_column, 1))
+    monkeypatch.setattr(knots, "_torus_column", record(knots._torus_column, 0))
+    a_at_root(parse_knot("dt:-2,3"), 40, 13)
+    a_at_root(parse_knot("!t2:3"), 20, 13)
+    assert habiro_a.cache_info().currsize == 0
+    assert rings and set(rings) == {13}
+
+
 # The knots of the habiro-generic benchmark workload, with the mirrors of its
 # torus slots.
 _GENERIC_KNOTS = ("dt:2,2", "dt:-2,3", "dt:3,3", "t2:4", "!t2:4", "!t2:5", "t2:5")
@@ -196,7 +250,10 @@ class TestSharedColumns:
         grid = [(parse_knot(spec), n) for spec in ("dt:2,2", "dt:-2,3", "t2:3", "!t2:4") for n in range(6)]
         before = [habiro_a(K, n) for K, n in grid]
         caches = _memoized_functions()
-        names = ("knots.habiro_a", "knots._chain_column", "knots._torus_column", "qtools.qbinomial")
+        names = (
+            "knots.habiro_a", "knots.a_at_root", "knots._chain_column", "knots._torus_column",
+            "qtools.qbinomial", "qtools._qbinomial_residue",
+        )
         assert {f"cycloknot.{name}" for name in names} <= set(caches)
         cycloknot.clear_caches()
         assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
