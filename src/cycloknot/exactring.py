@@ -318,6 +318,10 @@ class CycNumber:
 
     __rmul__ = __mul__
 
+    def times_zeta(self, k: int) -> "CycNumber":
+        """self * zeta**k, as the power vector rotated by k and reduced once: no product."""
+        return _unit_times(self, self.order, k % self.order, 1)
+
     def __pow__(self, n: int) -> "CycNumber":
         unit = self._unit_exponent(self)
         if unit is not None:

@@ -16,14 +16,21 @@ memoized columns: the sums over the chains of a given length that end at a
 given value k.  One kernel, _chain_column, holds every column whose link
 weight is a monomial times a q-binomial: the double twist sums here and the
 hyper-Jones and torus ADO sums of invariants.  It is keyed by a link-weight
-descriptor and a ring, generic q or q = e_p over Z[zeta_p].  The
-mirror-torus sum, whose q-binomial depends on the prefix sum, keeps its own
-columns, _torus_column, keyed by the same ring and also by that prefix sum.
-A column depends neither on the index n nor on the twist parameters, so
-a_0, ..., a_N, and knots whose chains share a prefix, share one set of
-columns.  The cost is polynomial in the chain length rather than one product
-per chain, and columns are filled from below, lowest level first, so chains
-of any length need no deep recursion.
+descriptor and a ring, generic q or q = e_p over Z[zeta_p].  A column
+depends neither on the index n nor on the twist parameters, so a_0, ..., a_N,
+and knots whose chains share a prefix, share one set of columns.  The cost is
+polynomial in the chain length rather than one product per chain, and
+columns are filled from below, lowest level first, so chains of any length
+need no deep recursion.
+
+The mirror-torus sum, whose q-binomial depends on the prefix sum, is taken at
+generic q as one integer.  Each of its link weights q^(j^2) [top; low] has
+nonnegative coefficients, so the whole sum S(q) does too, and no coefficient
+exceeds S(1), a sum of products of ordinary binomials.  With W the bit length
+of S(1), the same (k, prefix) recursion runs once more at q = 2^W, where a
+weight is a shift and the q-binomials come from q-Pascal shift-adds, and the
+coefficients of S are the base-2^W digits of S(2^W).  Only at q = e_p does
+the sum keep memoized columns, _torus_column, keyed also by the prefix sum.
 
 a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the same
 columns in the ring p, where each column entry is one element of Z[zeta_p]
@@ -44,7 +51,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactring import CycNumber, LaurentPoly, exact_div, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
@@ -222,20 +229,9 @@ def _chain_column(
             if ring is None:
                 yield 2 * e, qbinomial(n, k), _chain_column(link, ring, length - 1, k)
             elif binom := qbinomial_at_root(n, k, ring):
-                yield 2 * d * k, zeta(ring, e) * binom, _chain_column(link, ring, length - 1, k)
+                yield 2 * d * k, binom.times_zeta(e), _chain_column(link, ring, length - 1, k)
 
     return _shifted_sum(terms(), "q" if ring is None else "x", ring)
-
-
-def _link_sum(terms: Iterable[tuple[int, object, object]], ring: Optional[int]):
-    """sum of q^(e/2) w f over the triples (e, w, f): the polynomial in q of
-    _shifted_sum, or with ring p its value at q = e_p in Z[zeta_p], with every
-    power of zeta added into one vector and reduced once."""
-    if ring is None:
-        return _shifted_sum(terms)
-    return CycNumber.from_powers(
-        ring, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
-    )
 
 
 def _monomial(e2: int, sign: int, ring: Optional[int]):
@@ -243,40 +239,98 @@ def _monomial(e2: int, sign: int, ring: Optional[int]):
     return _q(e2, sign) if ring is None else zeta(ring, e2 // 2) * sign
 
 
-def _torus_links(
-    ring: Optional[int], i: int, k: int
-) -> Iterator[tuple[int, tuple[int, object, object]]]:
-    """The terms of T(i, k, .) by the last link j = k_{i-1} <= k = k_i.
+def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int]:
+    """(top, low, e, prefix + j): the mirror torus link j = k_{i-1} <= k = k_i
+    after the prefix P' = k_1 + ... + k_{i-2} has the weight q^e [top; low],
+    q^(j^2) [k + j - i + 1 + 2P'; k - j], and leads to the prefix P' + j.
+    Both torus routes, at q = 2^W and at q = e_p, read this one rule."""
+    return k + j - i + 1 + 2 * prefix, k - j, j * j, prefix + j
 
-    Yields (P, (e, w, T(i-1, j, P'))) with P = P' + j, where w q^(e/2) is
-    the link weight q^(j^2) [k + j - (i-1) + 2P'; k - j] of the mirror torus
-    sum; with ring p, w is the q-binomial at q = e_p and the links whose
-    binomial vanishes there are skipped.
+
+def _qbinomials_at(width: int, reach: list[int]) -> Callable[[int, int], int]:
+    """[top; low] at q = 2^width, for low < len(reach) and top - low <= reach[low].
+
+    The table H(b, m) = [m + b; b] is filled by q-Pascal shift-adds,
+    H(b, m) = H(b, m - 1) + 2^(width m) H(b - 1, m), with no product or
+    division; reach must be nonincreasing, so each row's cells exist in the
+    row below.  Width 0 gives the ordinary binomials, the values at q = 1.
+    Outside 0 <= low <= top the binomial is 0.
+    """
+    rows = [[1] * (reach[0] + 1)]
+    for b in range(1, len(reach)):
+        below, row, acc = rows[-1], [], 0
+        for m in range(reach[b] + 1):
+            acc += below[m] << width * m
+            row.append(acc)
+        rows.append(row)
+
+    def binom(top: int, low: int) -> int:
+        return rows[low][top - low] if 0 <= low <= top else 0
+
+    return binom
+
+
+def _torus_chain_value(t: int, top: int, width: int) -> int:
+    """S(2^width) for the chain sum S(q) = sum over 1 <= k_1 <= ... <= k_t = top
+    of the product of the t - 1 link weights of _torus_link; S(1) at width 0.
+
+    Levels go lowest first and only the level below is kept: one int per
+    state (k, P), where each weight q^e is a shift by width e and each
+    q-binomial an entry of the shift-add table.  A link j <= k has
+    low = k - j < top and top - low <= 2 (t - 1) j - t + 1, as P' <= (t - 2) j.
+    """
+    binom = _qbinomials_at(width, [max(0, 2 * (t - 1) * (top - b) - t + 1) for b in range(top)])
+    columns = {k: {0: 1} for k in range(1, top + 1)}
+    for i in range(2, t + 1):
+        level = {}
+        for k in range(1, top + 1) if i < t else (top,):
+            column: dict[int, int] = {}
+            for j in range(1, k + 1):
+                for prefix, value in columns[j].items():
+                    b_top, low, e, after = _torus_link(i, k, j, prefix)
+                    term = binom(b_top, low) * value << width * e
+                    column[after] = column[after] + term if after in column else term
+            level[k] = column
+        columns = level
+    return sum(columns[top].values())
+
+
+def _torus_links(
+    p: int, i: int, k: int
+) -> Iterator[tuple[int, tuple[int, CycNumber, CycNumber]]]:
+    """The terms of T(i, k, .) at q = e_p by the last link j = k_{i-1} <= k.
+
+    Yields (P, (2e, [top; low] at e_p, T(i-1, j, P'))) for the links of
+    _torus_link, skipping those whose binomial vanishes at e_p.
     """
     for j in range(1, k + 1):
-        for prefix, value in _torus_column(ring, i - 1, j).items():
-            top, low = k + j - i + 1 + 2 * prefix, k - j
-            binom = qbinomial(top, low) if ring is None else qbinomial_at_root(top, low, ring)
-            if not binom.is_zero():
-                yield prefix + j, (2 * j * j, binom, value)
+        for prefix, value in _torus_column(p, i - 1, j).items():
+            b_top, low, e, after = _torus_link(i, k, j, prefix)
+            if binom := qbinomial_at_root(b_top, low, p):
+                yield after, (2 * e, binom, value)
+
+
+def _link_sum(p: int, terms: Iterable[tuple[int, CycNumber, CycNumber]]) -> CycNumber:
+    """sum of zeta_p^(e/2) w f over the triples (e, w, f), with every power of
+    zeta added into one vector and reduced once."""
+    return CycNumber.from_powers(
+        p, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def _torus_column(
-    ring: Optional[int], i: int, k: int
-) -> dict[int, Union[LaurentPoly, CycNumber]]:
+def _torus_column(p: int, i: int, k: int) -> dict[int, CycNumber]:
     """{P: T(i, k, P)}: the sum over chains 1 <= k_1 <= ... <= k_i = k with
     k_1 + ... + k_{i-1} = P of the first i - 1 link weights of the mirror
-    torus sum.  With ring None each T is a polynomial in q; with ring p it
-    is its value at q = e_p, one element of Z[zeta_p].  T depends on neither
-    t nor n, so every T(2, 2t+1) shares it.
+    torus sum, at q = e_p: one element of Z[zeta_p] per prefix.  T depends on
+    neither t nor n, so every T(2, 2t+1) shares it.
     """
     if i == 1:
-        return {0: _monomial(0, 1, ring)}
+        return {0: CycNumber.from_int(p, 1)}
     parts: dict[int, list] = {}
-    for prefix, term in _torus_links(ring, i, k):
+    for prefix, term in _torus_links(p, i, k):
         parts.setdefault(prefix, []).append(term)
-    return {prefix: _link_sum(terms, ring) for prefix, terms in parts.items()}
+    return {prefix: _link_sum(p, terms) for prefix, terms in parts.items()}
 
 
 def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
@@ -286,19 +340,26 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
           sum_{n+1 = k_t >= ... >= k_1 >= 1}
           prod_{i=1}^{t-1} q^(k_i^2) [k_{i+1} + k_i - i + 2(k_1+...+k_{i-1}); k_{i+1} - k_i]
 
-    The q-binomial depends on the prefix sum, so the sum is sum_P T(t, n+1, P)
-    over the memoized columns T(i, k, P) of _torus_column.  The top level is
-    summed on the fly rather than cached: it is used once per (t, n).  With
-    ring p the whole sum is taken at q = e_p, in Z[zeta_p].
+    With ring None the sum S(q) is read off the integer S(2^W), W the bit
+    length of S(1), as its base-2^W digits: every link weight has
+    nonnegative coefficients, so S does too, and none exceeds S(1).  With
+    ring p the sum is taken at q = e_p over the memoized columns T(i, k, P);
+    its top level is summed on the fly, as it is used once per (t, n).
     """
     sign = -1 if n % 2 else 1
     top = n + 1
+    shift = n * (n + 1) + 2 * (top - t)
+    if ring is None:
+        width = _torus_chain_value(t, top, 0).bit_length()
+        bits = format(_torus_chain_value(t, top, width), "b")
+        digits = (int(bits[max(0, end - width) : end], 2) for end in range(len(bits), 0, -width))
+        terms = [((shift + 2 * d,), sign * c) for d, c in enumerate(digits) if c]
+        return LaurentPoly(("q",), tuple(terms), None)
     _fill_below(functools.partial(_torus_column, ring), t, lambda i: range(1, top + 1))
-    if t == 1:
-        total = _monomial(0, 1, ring)
-    else:
-        total = _link_sum((term for _, term in _torus_links(ring, t, top)), ring)
-    return _monomial(n * (n + 1) + 2 * (top - t), sign, ring) * total
+    total = CycNumber.from_int(ring, 1)
+    if t > 1:
+        total = _link_sum(ring, (term for _, term in _torus_links(ring, t, top)))
+    return total.times_zeta(shift // 2) * sign
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +532,7 @@ def _t25_root_sum(p: int) -> CycNumber:
     """sum_{j=floor(p/2)+1}^{p-1} zeta_p^(j^2) [j; 2j-1-p] at e_p."""
     acc = CycNumber.zero(p)
     for j in range(p // 2 + 1, p):
-        acc = acc + zeta(p, j * j) * qbinomial_at_root(j, 2 * j - 1 - p, p)
+        acc = acc + qbinomial_at_root(j, 2 * j - 1 - p, p).times_zeta(j * j)
     return acc
 
 

@@ -2,10 +2,12 @@
 
 The library evaluates every nondecreasing-chain multi-sum through memoized
 columns (knots._chain_column, and knots._torus_column for the mirror torus
-sum).  This module keeps the direct route: list every chain with
-itertools.combinations_with_replacement and add up the product of its link
-weights, one chain at a time.  The cost grows like C(n+len-1, len-1), so it
-is only for the small grids of the tests; it shares no code with the kernel.
+sum at a root of unity), or at one integer point (the mirror torus sum at
+generic q, knots._torus_chain_value).  This module keeps the direct route:
+list every chain with itertools.combinations_with_replacement and add up the
+product of its link weights, one chain at a time.  The cost grows like
+C(n+len-1, len-1), so it is only for the small grids of the tests; it shares
+no code with the kernel.
 """
 
 from __future__ import annotations
@@ -61,19 +63,35 @@ def chain_sum_minus(length: int, n: int) -> LaurentPoly:
     return acc
 
 
+def _torus_chains(length: int, top: int) -> Iterator[tuple[int, LaurentPoly]]:
+    """(k_1 + ... + k_{length-1}, product of the link weights) for each chain
+    1 <= k_1 <= ... <= k_length = top of the mirror torus sum."""
+    for chain in chains_fixed_top(length, top, low=1):
+        term = _q(0)
+        prefix = 0
+        for i in range(length - 1):
+            ki, kj = chain[i], chain[i + 1]
+            term = term * _q(2 * ki * ki) * qbinomial(kj + ki - (i + 1) + 2 * prefix, kj - ki)
+            prefix += ki
+        yield prefix, term
+
+
 def mirror_torus_a(t: int, n: int) -> LaurentPoly:
     """a_n of the mirror of T(2, 2t+1): the chain sum with the prefix-sum q-binomial."""
     sign = -1 if n % 2 else 1
     acc = LaurentPoly.zero(("q",))
-    for chain in chains_fixed_top(t, n + 1, low=1):
-        term = _q(0)
-        prefix = 0
-        for i in range(t - 1):
-            ki, kj = chain[i], chain[i + 1]
-            term = term * _q(2 * ki * ki) * qbinomial(kj + ki - (i + 1) + 2 * prefix, kj - ki)
-            prefix += ki
+    for _, term in _torus_chains(t, n + 1):
         acc = acc + term
     return _q(n * (n + 1) + 2 * (n + 1 - t), sign) * acc
+
+
+def torus_column(i: int, k: int) -> dict[int, LaurentPoly]:
+    """{P: the sum of the mirror torus chains of length i with top k and
+    prefix sum k_1 + ... + k_{i-1} = P}, a polynomial in q per prefix."""
+    column: dict[int, LaurentPoly] = {}
+    for prefix, term in _torus_chains(i, k):
+        column[prefix] = column.get(prefix, LaurentPoly.zero(("q",))) + term
+    return column
 
 
 def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:

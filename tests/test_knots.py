@@ -156,9 +156,9 @@ def test_column_at_root_is_the_generic_column_at_the_root(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
 def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
-    # the (k, P) columns over Z[zeta_p] hold the generic columns' values at
-    # e_p (a prefix whose binomials all vanish there is left out), and their
-    # sum is the chain-by-chain oracle evaluated at e_p
+    # the (k, P) columns over Z[zeta_p] hold the chain-by-chain columns'
+    # values at e_p (a prefix whose binomials all vanish there is left out),
+    # and their sum is the chain-by-chain oracle evaluated at e_p
     for t in range(1, 6):
         for n in range(7):
             expected = eval_at_root(chain_oracle.mirror_torus_a(t, n), p)
@@ -166,10 +166,41 @@ def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
     for i in range(1, 5):
         for k in range(1, 7):
             at_root = knots._torus_column(p, i, k)
-            generic = knots._torus_column(None, i, k)
-            assert set(at_root) <= set(generic), (i, k)
-            for prefix, value in generic.items():
+            oracle = chain_oracle.torus_column(i, k)
+            assert set(at_root) <= set(oracle), (i, k)
+            for prefix, value in oracle.items():
                 assert at_root.get(prefix, 0) == eval_at_root(value, p), (i, k, prefix)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7])
+def test_shift_add_qbinomials_are_the_qbinomials_at_a_power_of_two(width):
+    # the q-Pascal table read at q = 2^width, also outside 0 <= b <= a;
+    # width 0 gives the ordinary binomials
+    binom = knots._qbinomials_at(width, [40] * 41)
+    for a in range(41):
+        for b in range(-2, a + 3):
+            expected = sum(c << width * (e // 2) for (e,), c in qbinomial(a, b).terms)
+            assert binom(a, b) == expected, (a, b)
+
+
+def test_torus_at_large_t_is_the_root_route_at_the_root():
+    # 400 levels at generic q, through the integer point, against the
+    # Z[zeta_p] columns of a_at_root
+    K = torus_two_strand(400)
+    a = habiro_a(K, 1)
+    for p in (2, 3):
+        assert eval_at_root(a, p) == a_at_root(K, 1, p), p
+
+
+def test_one_digit_chain_sums():
+    # t = 1 has no link and n = 0 one chain, so the chain sum is a monomial
+    # with value 1 at q = 1, read as a single digit of width 1
+    for n in range(6):
+        assert habiro_a(parse_knot("!t2:1"), n) == qp({n * (n + 3) // 2: -1 if n % 2 else 1}), n
+    for t in range(1, 8):
+        assert knots._torus_chain_value(t, 1, 0) == 1, t
+        assert habiro_a(parse_knot(f"!t2:{t}"), 0) == 1, t
+        assert habiro_a(torus_two_strand(t), 0) == 1, t
 
 
 # Oracle: the generic route, eval_at_root(habiro_a(K, n), p), for a_at_root,
