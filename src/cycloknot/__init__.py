@@ -68,7 +68,6 @@ from .qtools import (
     qbinomial_at_root,
     qbinomial_balanced,
     qfactorial,
-    qint,
     qpochhammer,
     sigma,
     sigma_at_root,

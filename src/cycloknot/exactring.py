@@ -28,11 +28,14 @@ A product of two polynomials takes one of three shapes:
   order, so nothing is dropped or sorted.
 - Other integer products use Kronecker substitution: each operand is shifted
   to exponent 0, its exponents are divided by their common gcd, and its
-  coefficients become balanced base-2**(8*width) digits of one Python int
+  coefficients become balanced base-2**width digits of one Python int
   (bivariate operands row by row, with a row stride wide enough that the
   variables never wrap into each other).  One bigint product replaces the
-  term-pair loop.  Packing goes through bytes, so coefficient size is
-  unlimited.
+  term-pair loop.  Coefficient size is unlimited.  One digit reader,
+  _unpack, reads these products and the integer points of knots alike,
+  with digits as wide as _digit_width gives: digits of 8, 16, 32 or 64
+  bits convert in C through struct, and other widths are sliced from the
+  binary digits.
 - Every other product goes by term pairs, adding each pair's unreduced
   convolution into one power vector per product exponent; each vector is
   reduced once, per output term rather than per pair, and dropped if it
@@ -54,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Optional, Union
@@ -577,9 +581,9 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     if size > len(t1) * len(t2):
         return None
     # A product coefficient sums at most min(len) products of two
-    # coefficients; digits of `width` bytes hold it as a balanced digit.
+    # coefficients; digits of `width` bits hold it as a balanced digit.
     bound = min(len(t1), len(t2)) * max(abs(c) for _, c in t1) * max(abs(c) for _, c in t2)
-    width = bound.bit_length() // 8 + 1
+    width = _digit_width(bound.bit_length() + 1)
     digits = _unpack(
         _pack(k1, [c for _, c in t1], size1, width) * _pack(k2, [c for _, c in t2], size2, width),
         size,
@@ -594,29 +598,66 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     )
 
 
-def _pack(slots: list[int], coeffs: list[int], size: int, width: int) -> int:
-    """sum(c * 256**(width*k)) over the slots k and their coefficients c."""
-    zero = bytes(width)
-    pos = [zero] * size
-    neg = [zero] * size
-    for k, c in zip(slots, coeffs):
-        if c > 0:
-            pos[k] = c.to_bytes(width, "little")
-        else:
-            neg[k] = (-c).to_bytes(width, "little")
-    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
+# The signed struct codes of the digit widths, in bits, that convert in C:
+# with "<", struct reads these standard sizes little-endian on every platform.
+_CAST_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
-def _unpack(value: int, size: int, width: int) -> list[int]:
-    """The balanced digits d_k of value = sum(d_k * 256**(width*k)), k < size.
+def _digit_width(bits: int) -> int:
+    """The width, in bits, of digits that hold `bits` bits: the next width
+    that converts in C when it is at most 8 bits wider, else `bits` itself.
 
-    Every digit must satisfy |d_k| < 2**(8*width-1).
+    A wider digit makes every integer that carries it longer, so digits are
+    widened only as far as the C conversion repays.
     """
-    half = 1 << (8 * width - 1)
-    # adding half to every digit makes all digits nonnegative, so none borrows
-    value += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    buf = memoryview(value.to_bytes(size * width, "little"))
-    return [int.from_bytes(buf[i : i + width], "little") - half for i in range(0, size * width, width)]
+    bits = max(1, bits)
+    return min((w for w in _CAST_CODES if bits <= w <= bits + 8), default=bits)
+
+
+def _halves(size: int, width: int) -> int:
+    """sum(2**(width-1) * 2**(width*k)) for k < size: the top bit of every
+    digit, from bytes when the digits are whole bytes (the faster parse)."""
+    if width % 8:
+        return int(("1" + "0" * (width - 1)) * size, 2)
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * size, "little")
+
+
+def _pack(slots: list[int], coeffs: list[int], size: int, width: int) -> int:
+    """sum(c * 2**(width*k)) over the slots k and their coefficients c.
+
+    Every coefficient must satisfy |c| < 2**(width-1), so that c plus the
+    half 2**(width-1) is a nonnegative digit: the digits are written with the
+    half added, and subtracting the halves again leaves the sum.  In C a
+    digit is written in two's complement, which flipping its top bit turns
+    into the same digit plus the half.
+    """
+    dense = [0] * size
+    for k, c in zip(slots, coeffs):
+        dense[k] = c
+    half = _halves(size, width)
+    if code := _CAST_CODES.get(width):
+        return (int.from_bytes(struct.pack(f"<{size}{code}", *dense), "little") ^ half) - half
+    top = 1 << (width - 1)
+    return int("".join([format(c + top, f"0{width}b") for c in reversed(dense)]), 2) - half
+
+
+def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]:
+    """The digits d_k of value = sum(d_k * 2**(width*k)), k < size.
+
+    Signed digits are balanced, |d_k| < 2**(width-1): adding the half to
+    every digit makes them all nonnegative, so none borrows.  Unsigned
+    digits satisfy 0 <= d_k < 2**width.  Digits of 8, 16, 32 or 64 bits
+    convert in C, where flipping the top bits back leaves each signed digit
+    in two's complement; other widths are sliced from the binary digits.
+    """
+    half = _halves(size, width) if signed else 0
+    value += half
+    if code := _CAST_CODES.get(width):
+        buf = (value ^ half).to_bytes(size * width // 8, "little")
+        return list(struct.unpack(f"<{size}{code if signed else code.upper()}", buf))
+    text = format(value, f"0{size * width}b")
+    top = 1 << (width - 1) if signed else 0
+    return [int(text[end - width : end], 2) - top for end in range(size * width, 0, -width)]
 
 
 def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:

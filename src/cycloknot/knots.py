@@ -9,30 +9,36 @@ cyclotomic expansion of the colored Jones polynomial,
               = sum_n a_n(K; q) sigma_n(x, q),
 
 with a_n = (-1)^n q^(n(n+1)/2) C_n.  Only a_n is memoized, and every
-invariant sums it against a sigma_n kernel; C_n is one monomial away.  The
-coefficients are computed from the known nondecreasing-chain multi-sum
-formulas for these families.  Each multi-sum is split at its last link into
-memoized columns: the sums over the chains of a given length that end at a
-given value k.  One kernel, _chain_column, holds every column whose link
-weight is a monomial times a q-binomial: the double twist sums here and the
-hyper-Jones and torus ADO sums of invariants.  It is keyed by a link-weight
-descriptor and a ring, generic q or q = e_p over Z[zeta_p].  A column
-depends neither on the index n nor on the twist parameters, so a_0, ..., a_N,
-and knots whose chains share a prefix, share one set of columns.  The cost is
-polynomial in the chain length rather than one product per chain, and
-columns are filled from below, lowest level first, so chains of any length
-need no deep recursion.
+invariant sums it against a sigma_n kernel; C_n is one monomial away.
 
-The mirror-torus sum, whose q-binomial depends on the prefix sum, is taken at
-generic q as one integer.  Each of its link weights q^(j^2) [top; low] has
-nonnegative coefficients, so the whole sum S(q) does too, and no coefficient
-exceeds S(1), a sum of products of ordinary binomials.  With W the bit length
-of S(1), the same (k, prefix) recursion runs once more at q = 2^W, where a
-weight is a shift and the q-binomials come from q-Pascal shift-adds, and the
-coefficients of S are the base-2^W digits of S(2^W).  Only at q = e_p does
-the sum keep memoized columns, _torus_column, keyed also by the prefix sum.
+Every generic a_n is read off one integer.  The double twist and mirror
+torus coefficients are the known nondecreasing-chain multi-sums for these
+families, and every link weight has nonnegative coefficients, so each sum
+S(q) does too and no coefficient exceeds S(1).  With W the bit length of
+S(1), or a little more where the digits then convert in C, the same
+recursion runs once more at q = 2^W, where a weight q^e is a shift by W e
+and the q-binomials come from q-Pascal shift-adds, and the coefficients of
+S are the base-2^W digits of S(2^W), read in one pass by exactring's digit
+reader.  For a double twist knot S is the product of two twist columns,
+the negative-twist one shifted to a polynomial; the mirror torus
+q-binomial depends on the prefix sum, so its recursion runs over the
+states (k, prefix).  The torus knots and the mirrors of double twist knots
+are the images under q -> 1/q.  No polynomial in q is multiplied on any of
+these routes.
 
-a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the same
+At q = e_p the sums keep memoized columns: the sums over the chains of a
+given length that end at a given value k.  One kernel, _chain_column, holds
+every column whose link weight is a monomial times a q-binomial: the twist
+columns that a_at_root reads and the torus ADO sum of invariants, over
+Z[zeta_p], and at generic q the hyper-Jones sum of invariants and the tests'
+labelled oracle for the integer route.  It is keyed by a link-weight
+descriptor and a ring.  A column depends neither on the index n nor on the
+twist parameters, so a_0, ..., a_N, and knots whose chains share a prefix,
+share one set of columns, and columns are filled from below, lowest level
+first, so chains of any length need no deep recursion.  The mirror torus sum
+keeps its own columns, _torus_column, keyed also by the prefix sum.
+
+a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the chain
 columns in the ring p, where each column entry is one element of Z[zeta_p]
 (the q-binomials through q-Lucas), the prefactors are powers of zeta_p, and
 q -> 1/q is the Galois map zeta -> 1/zeta.  No polynomial in q is built, so
@@ -53,7 +59,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactring import CycNumber, LaurentPoly, exact_div, zeta
+from .exactring import CycNumber, LaurentPoly, _digit_width, _unpack, exact_div, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -209,11 +215,14 @@ def _chain_column(
 
     This is the sum over the chains k_1 <= ... <= k_length = n of the
     products of the link weights w(k_i, k_{i+1}) [k_{i+1}; k_i], with w
-    named by the descriptor link = (a, b, c, d).  With ring None it is a
-    polynomial in q (d must be 0); with ring p it is a polynomial in x over
-    Z[zeta_p], at q = e_p, with the q-binomials taken at the root (their
-    zeros skipped).  A column does not depend on any bound on the chain, so
-    every top n, and every sum over a range of tops, shares it.
+    named by the descriptor link = (a, b, c, d).  With ring p it is a
+    polynomial in x over Z[zeta_p], at q = e_p, with the q-binomials taken at
+    the root (their zeros skipped): a_at_root reads the twist columns, and
+    the ADO invariant the torus ones.  With ring None it is a polynomial in q
+    (d must be 0), read by the hyper-Jones sum; habiro_a reads no generic
+    column, and the tests keep the generic twist columns as the labelled
+    oracle of its integer route.  A column does not depend on any bound on
+    the chain, so every top n, and every sum over a range of tops, shares it.
     """
     a, b, c, d = link
     if length == 1:
@@ -234,11 +243,6 @@ def _chain_column(
     return _shifted_sum(terms(), "q" if ring is None else "x", ring)
 
 
-def _monomial(e2: int, sign: int, ring: Optional[int]):
-    """sign * q^(e2/2), or with ring p its value at q = e_p (e2 even)."""
-    return _q(e2, sign) if ring is None else zeta(ring, e2 // 2) * sign
-
-
 def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int]:
     """(top, low, e, prefix + j): the mirror torus link j = k_{i-1} <= k = k_i
     after the prefix P' = k_1 + ... + k_{i-2} has the weight q^e [top; low],
@@ -247,27 +251,100 @@ def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int
     return k + j - i + 1 + 2 * prefix, k - j, j * j, prefix + j
 
 
-def _qbinomials_at(width: int, reach: list[int]) -> Callable[[int, int], int]:
-    """[top; low] at q = 2^width, for low < len(reach) and top - low <= reach[low].
+def _qbinomial_rows(width: int, reach: list[int]) -> Iterator[list[int]]:
+    """The rows [H(b, 0), ..., H(b, reach[b])] of H(b, m) = [m + b; b] at
+    q = 2^width, for b = 0, 1, ..., len(reach) - 1.
 
-    The table H(b, m) = [m + b; b] is filled by q-Pascal shift-adds,
+    Each row comes from the one before by q-Pascal shift-adds,
     H(b, m) = H(b, m - 1) + 2^(width m) H(b - 1, m), with no product or
     division; reach must be nonincreasing, so each row's cells exist in the
     row below.  Width 0 gives the ordinary binomials, the values at q = 1.
-    Outside 0 <= low <= top the binomial is 0.
     """
-    rows = [[1] * (reach[0] + 1)]
+    row = [1] * (reach[0] + 1)
+    yield row
     for b in range(1, len(reach)):
-        below, row, acc = rows[-1], [], 0
+        below, row, acc = row, [], 0
         for m in range(reach[b] + 1):
             acc += below[m] << width * m
             row.append(acc)
-        rows.append(row)
+        yield row
+
+
+def _qbinomials_at(width: int, reach: list[int]) -> Callable[[int, int], int]:
+    """[top; low] at q = 2^width, for low < len(reach) and top - low <= reach[low],
+    from the whole table of _qbinomial_rows.  Outside 0 <= low <= top the
+    binomial is 0.
+    """
+    rows = list(_qbinomial_rows(width, reach))
 
     def binom(top: int, low: int) -> int:
         return rows[low][top - low] if 0 <= low <= top else 0
 
     return binom
+
+
+def _read_off(value_at: Callable[[int], int], e2: int, sign: int) -> LaurentPoly:
+    """sign q^(e2/2) S(q) for a sum S(q) with nonnegative coefficients, from
+    value_at(W) = S(2^W).
+
+    No coefficient exceeds S(1) = value_at(0), so each fits in a digit of
+    its bit length, or of the width exactring._digit_width widens it to; the
+    coefficients of S are then the base-2^W digits of S(2^W).
+    """
+    width = _digit_width(value_at(0).bit_length())
+    value = value_at(width)
+    digits = _unpack(value, -(-value.bit_length() // width), width, signed=False)
+    return LaurentPoly(("q",), tuple([((e2 + 2 * d,), sign * c) for d, c in enumerate(digits) if c]), None)
+
+
+def _twist_chain_values(length: int, top: int, width: int, plus: bool) -> list[int]:
+    """[P(i, top) at q = 2^width for i = 1..length], or with plus False the
+    same for R; width 0 gives the values at q = 1, where P and R agree.
+
+    P(i, n) = sum_{k<=n} q^(k(k+1)) [n; k] P(i-1, k) is the column of
+    _TWIST_PLUS.  R(i, n) = q^((i-1)n(n+1)) M(i, n) is the column M of
+    _TWIST_MINUS made a polynomial:
+        R(i, n) = sum_{k<=n} q^((i-1)n(n+1) - k(n+1) - (i-2)k(k+1)) [n; k] R(i-1, k),
+    whose exponent is 0 at k = n and grows as k falls.  So every weight is a
+    shift and every q-binomial [n; k] a cell of row k of the shift-add
+    table; P(1, n) = R(1, n) = 1.  The rows are read one at a time, k
+    outermost, each adding its terms to every level lowest first: the entry
+    k of a level is then complete before the level above reads it, and only
+    one row of the table is alive.  The last level is kept at the top only.
+    """
+    columns = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(1, length)]
+    for k, row in enumerate(_qbinomial_rows(width, [top - b for b in range(top + 1)])):
+        for i in range(2, length + 1):
+            low, column = columns[i - 2][k], columns[i - 1]
+            for n in range(k, top + 1) if i < length else (top,):
+                e = k * (k + 1) if plus else (i - 1) * n * (n + 1) - k * (n + 1) - (i - 2) * k * (k + 1)
+                column[n] += row[n - k] * low << width * e
+    return [column[top] for column in columns]
+
+
+def _double_twist_value(l: int, m: int, n: int, width: int) -> int:
+    """D(2^width) for the double twist sum D = P(l, n) P(m, n), or
+    P(m, n) R(-l, n) for l < 0, with P and R of _twist_chain_values."""
+    plus = _twist_chain_values(m, n, width, True)
+    if l > 0:
+        return plus[l - 1] * plus[-1]
+    return plus[-1] * _twist_chain_values(-l, n, width, False)[-1]
+
+
+def _double_twist_a(knot: DoubleTwist, n: int) -> LaurentPoly:
+    """a_n of K(l, m) as a chain multi-sum, read off one integer.
+
+    For l > 0, a_n = (-1)^n q^(n(n+1)/2 + n) P(l, n) P(m, n); for l < 0,
+    a_n = P(m, n) M(-l, n) = q^(-(-l-1)n(n+1)) P(m, n) R(-l, n).  Every link
+    weight has nonnegative coefficients, so the product D does too, and it
+    is read off D(2^W) as in the mirror torus sum.
+    """
+    l, m = knot.l, knot.m
+    if l > 0:
+        e2, sign = n * (n + 3), -1 if n % 2 else 1
+    else:
+        e2, sign = 2 * (l + 1) * n * (n + 1), 1
+    return _read_off(functools.partial(_double_twist_value, l, m, n), e2, sign)
 
 
 def _torus_chain_value(t: int, top: int, width: int) -> int:
@@ -340,21 +417,17 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
           sum_{n+1 = k_t >= ... >= k_1 >= 1}
           prod_{i=1}^{t-1} q^(k_i^2) [k_{i+1} + k_i - i + 2(k_1+...+k_{i-1}); k_{i+1} - k_i]
 
-    With ring None the sum S(q) is read off the integer S(2^W), W the bit
-    length of S(1), as its base-2^W digits: every link weight has
-    nonnegative coefficients, so S does too, and none exceeds S(1).  With
-    ring p the sum is taken at q = e_p over the memoized columns T(i, k, P);
-    its top level is summed on the fly, as it is used once per (t, n).
+    With ring None the sum S(q) is read off the integer S(2^W) by _read_off:
+    every link weight has nonnegative coefficients, so S does too, and none
+    exceeds S(1).  With ring p the sum is taken at q = e_p over the memoized
+    columns T(i, k, P); its top level is summed on the fly, as it is used
+    once per (t, n).
     """
     sign = -1 if n % 2 else 1
     top = n + 1
     shift = n * (n + 1) + 2 * (top - t)
     if ring is None:
-        width = _torus_chain_value(t, top, 0).bit_length()
-        bits = format(_torus_chain_value(t, top, width), "b")
-        digits = (int(bits[max(0, end - width) : end], 2) for end in range(len(bits), 0, -width))
-        terms = [((shift + 2 * d,), sign * c) for d, c in enumerate(digits) if c]
-        return LaurentPoly(("q",), tuple(terms), None)
+        return _read_off(functools.partial(_torus_chain_value, t, top), shift, sign)
     _fill_below(functools.partial(_torus_column, ring), t, lambda i: range(1, top + 1))
     total = CycNumber.from_int(ring, 1)
     if t > 1:
@@ -371,45 +444,41 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
     return f.substitute("q", new_var="q", exp2=-2)
 
 
-def _twist_column(link: tuple[int, int, int, int], ring: Optional[int], length: int, n: int):
-    """The twist column C(length, n) in q, or with ring p its value at q = e_p
-    (a twist link carries no x, so the column over Z[zeta_p] is a constant)."""
-    column = _chain_column(link, ring, length, n)
-    return column if ring is None else column.coefficient((0,))
+def _twist_column(link: tuple[int, int, int, int], p: int, length: int, n: int) -> CycNumber:
+    """The twist column C(length, n) at q = e_p: a twist link carries no x,
+    so the column over Z[zeta_p] is a constant."""
+    return _chain_column(link, p, length, n).coefficient((0,))
 
 
-def _twist_c(knot: DoubleTwist, n: int, ring: Optional[int]):
-    """C_n of a double twist knot, the product of two twist columns and a
-    monomial: a polynomial in q, or with ring p its value at q = e_p."""
-    plus = _twist_column(_TWIST_PLUS, ring, knot.m, n)
+def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
+    """a_n(e_p) of a double twist knot: the product of _double_twist_a, with
+    P and M the twist columns at q = e_p."""
+    plus = _twist_column(_TWIST_PLUS, p, knot.m, n)
     if knot.l > 0:
-        return _monomial(2 * n, 1, ring) * _twist_column(_TWIST_PLUS, ring, knot.l, n) * plus
-    sign = -1 if n % 2 else 1
-    return _monomial(-n * (n + 1), sign, ring) * plus * _twist_column(_TWIST_MINUS, ring, -knot.l, n)
+        sign = -1 if n % 2 else 1
+        return (_twist_column(_TWIST_PLUS, p, knot.l, n) * plus).times_zeta(n * (n + 3) // 2) * sign
+    return plus * _twist_column(_TWIST_MINUS, p, -knot.l, n)
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
-    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n: the unmemoized view
-    (-1)^n q^(-n(n+1)/2) a_n of habiro_a, or for a double twist knot the
-    column product that habiro_a reads."""
-    if n < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {n}")
-    if isinstance(knot, DoubleTwist):
-        return _twist_c(knot, n, None)
-    if isinstance(knot, (TorusTwoStrand, Mirror)):
-        sign = -1 if n % 2 else 1
-        return _q(-n * (n + 1), sign) * habiro_a(knot, n)
-    raise ValueError(f"unsupported knot spec {knot!r}")
+    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n: the unmemoized
+    monomial shift (-1)^n q^(-n(n+1)/2) a_n of habiro_a."""
+    sign = -1 if n % 2 else 1
+    return _q(-n * (n + 1), sign) * habiro_a(knot, n)
 
 
 @functools.lru_cache(maxsize=None)
 def habiro_a(knot: KnotSpec, n: int) -> LaurentPoly:
-    """Coefficient a_n(K; q) of sigma_n(x, q) in the cyclotomic expansion."""
+    """Coefficient a_n(K; q) of sigma_n(x, q) in the cyclotomic expansion.
+
+    Every generic a_n is read off one integer: the double twist and mirror
+    torus chain sums at q = 2^W, and the other two shapes are their images
+    under q -> 1/q.
+    """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if isinstance(knot, DoubleTwist):
-        sign = -1 if n % 2 else 1
-        return _q(n * (n + 1), sign) * habiro_c(knot, n)
+        return _double_twist_a(knot, n)
     if isinstance(knot, TorusTwoStrand):
         return _q_inverted(_mirror_torus_a(knot.t, n, None))
     if isinstance(knot, Mirror):
@@ -441,8 +510,7 @@ def a_at_root(knot: KnotSpec, n: int, p: int) -> CycNumber:
     if p < 1:
         raise ValueError(f"root order must be >= 1, got {p}")
     if isinstance(knot, DoubleTwist):
-        sign = -1 if n % 2 else 1
-        return _monomial(n * (n + 1), sign, p) * _twist_c(knot, n, p)
+        return _twist_a(knot, n, p)
     if isinstance(knot, TorusTwoStrand):
         return _mirror_torus_a(knot.t, n, p).galois(-1)
     if isinstance(knot, Mirror):

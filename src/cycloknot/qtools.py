@@ -1,4 +1,4 @@
-"""q-combinatorics: q-integers, q-binomials, Pochhammer products, sigma
+"""q-combinatorics: q-factorials, q-binomials, Pochhammer products, sigma
 products and brace polynomials, at generic q and at roots of unity.
 
 Polynomials at generic q live in the variable q; the bivariate products use
@@ -53,14 +53,6 @@ def _fill_below(
         else:
             for k in keys(i):
                 cell(i, k)
-
-
-@functools.lru_cache(maxsize=None)
-def qint(n: int) -> LaurentPoly:
-    """[n]_q = 1 + q + ... + q**(n-1)."""
-    if n < 0:
-        raise ValueError(f"q-integer needs n >= 0, got {n}")
-    return LaurentPoly.univar("q", {2 * j: 1 for j in range(n)})
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 The library evaluates every nondecreasing-chain multi-sum through memoized
 columns (knots._chain_column, and knots._torus_column for the mirror torus
-sum at a root of unity), or at one integer point (the mirror torus sum at
-generic q, knots._torus_chain_value).  This module keeps the direct route:
+sum at a root of unity), or at one integer point (the double twist and
+mirror torus sums at generic q, knots._twist_chain_values and
+knots._torus_chain_value).  This module keeps the direct route:
 list every chain with itertools.combinations_with_replacement and add up the
 product of its link weights, one chain at a time.  The cost grows like
 C(n+len-1, len-1), so it is only for the small grids of the tests; it shares

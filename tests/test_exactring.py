@@ -11,7 +11,11 @@ from cycloknot.exactring import (
     CycNumber,
     InexactDivisionError,
     LaurentPoly,
+    _CAST_CODES,
+    _digit_width,
     _kronecker_mul,
+    _pack,
+    _unpack,
     cyclotomic_coeffs,
     cyclotomic_polynomial,
     euler_phi,
@@ -590,6 +594,48 @@ class TestPackedProduct:
         g = LaurentPoly.univar("x", {2: 1, 0: 1})
         assert _kronecker_mul(f.terms, g.terms) is None
         assert f * g == LaurentPoly.univar("x", {2 * 10**9 + 2: 1, 2 * 10**9: 1, 2: 1, 0: 1})
+
+
+# Digit widths in bits: 8, 16, 32 and 64 convert in C, the others (whole
+# bytes or not, narrow or past 64 bits) are sliced from the binary digits.
+_DIGIT_WIDTHS = [2, 5, 8, 16, 24, 32, 41, 64, 72, 100]
+
+
+@st.composite
+def digit_runs(draw):
+    """(width, digits): balanced digits of one width, with the extreme
+    digits +-(2**(width-1) - 1) and runs of one repeated digit."""
+    width = draw(st.sampled_from(_DIGIT_WIDTHS))
+    top = 2 ** (width - 1) - 1
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 1, -1, 0]))
+    runs = st.tuples(st.sampled_from([0, -top, -1, top]), st.integers(1, 40)).map(lambda r: [r[0]] * r[1])
+    return width, draw(st.one_of(st.lists(digit, min_size=1, max_size=40), runs))
+
+
+class TestDigitReader:
+    @settings(deadline=None, max_examples=300)
+    @given(digit_runs())
+    def test_pack_and_unpack_round_trip(self, case):
+        width, digits = case
+        size = len(digits)
+        value = _pack(list(range(size)), digits, size, width)
+        assert value == sum(d << width * k for k, d in enumerate(digits))
+        assert _unpack(value, size, width) == digits
+
+    @settings(deadline=None, max_examples=200)
+    @given(digit_runs())
+    def test_unsigned_digits_round_trip(self, case):
+        # the same runs read as unsigned digits, 0 <= d < 2**width
+        width, digits = case
+        digits = [d % 2**width for d in digits]
+        value = sum(d << width * k for k, d in enumerate(digits))
+        assert _unpack(value, len(digits), width, signed=False) == digits
+
+    def test_digit_widths(self):
+        # the next C width when it is at most 8 bits wider, else the bits
+        assert sorted(_CAST_CODES) == [8, 16, 32, 64]
+        bits = (0, 1, 8, 9, 16, 17, 23, 24, 33, 55, 56, 64, 65, 72)
+        assert [_digit_width(b) for b in bits] == [8, 8, 8, 16, 16, 17, 23, 32, 33, 55, 64, 64, 65, 72]
 
 
 def per_pair_reduced_mul(f, g):

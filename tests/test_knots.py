@@ -94,6 +94,20 @@ class TestChains:
         assert chains == sorted(chains)
 
 
+def _double_twist_a_oracle(l: int, m: int, n: int, mirrored: bool) -> LaurentPoly:
+    """a_n = (-1)^n q^(n(n+1)/2) C_n of K(l, m), or of its mirror, from the
+    chain-by-chain twist sums: C_n = q^n P_l P_m for l > 0 and
+    (-1)^n q^(-n(n+1)/2) P_m M_-l for l < 0."""
+    sign = -1 if n % 2 else 1
+    plus = chain_oracle.chain_sum_plus(m, n)
+    if l > 0:
+        c = qp({n: 1}) * chain_oracle.chain_sum_plus(l, n) * plus
+    else:
+        c = qp({-n * (n + 1) // 2: sign}) * plus * chain_oracle.chain_sum_minus(-l, n)
+    a = qp({n * (n + 1) // 2: sign}) * c
+    return a.substitute("q", new_var="q", exp2=-2) if mirrored else a
+
+
 # Each library multi-sum next to its chain-by-chain oracle, on the grid it is
 # compared over: (library call, oracle call, parameter tuples).
 _TRANSFER_SITES = {
@@ -106,6 +120,17 @@ _TRANSFER_SITES = {
         lambda length, n: knots._chain_column(knots._TWIST_MINUS, None, length, n),
         chain_oracle.chain_sum_minus,
         [(length, n) for length in range(1, 7) for n in range(5)],
+    ),
+    "double_twist_a": (
+        lambda l, m, n, mirrored: habiro_a(Mirror(DoubleTwist(l, m)) if mirrored else DoubleTwist(l, m), n),
+        _double_twist_a_oracle,
+        [
+            (l, m, n, mirrored)
+            for l in (-3, -2, -1, 1, 2, 3)
+            for m in range(max(l, 1), 5)
+            for n in range(7)
+            for mirrored in (False, True)
+        ],
     ),
     "mirror_torus_a": (
         lambda t, n: habiro_a(parse_knot(f"!t2:{t}"), n),
@@ -192,9 +217,35 @@ def test_torus_at_large_t_is_the_root_route_at_the_root():
         assert eval_at_root(a, p) == a_at_root(K, 1, p), p
 
 
+def _column_product_a(knot: DoubleTwist, n: int) -> LaurentPoly:
+    """Labelled oracle for habiro_a on a double twist knot: a_n as the
+    product of the generic twist columns of knots._chain_column, the
+    polynomial route that the integer route replaced."""
+    sign = -1 if n % 2 else 1
+    plus = knots._chain_column(knots._TWIST_PLUS, None, knot.m, n)
+    if knot.l > 0:
+        return qp({n * (n + 3) // 2: sign}) * knots._chain_column(knots._TWIST_PLUS, None, knot.l, n) * plus
+    return plus * knots._chain_column(knots._TWIST_MINUS, None, -knot.l, n)
+
+
+@pytest.mark.parametrize("spec", ["dt:2,2", "dt:-2,3"])
+def test_double_twist_a_is_the_column_product_at_every_digit_width(spec):
+    # the integer route reads digits of 8, 16, 32 and 64 bits in C and
+    # slices the other widths, below 64 bits and past it; n = 36 and 40 have
+    # coefficients past 2^64
+    K = parse_knot(spec)
+    widths = set()
+    for n in (3, 4, 8, 12, 20, 24, 28, 36, 40):
+        widths.add(knots._digit_width(knots._double_twist_value(K.l, K.m, n, 0).bit_length()))
+        a = habiro_a(K, n)
+        assert a == _column_product_a(K, n), (spec, n)
+    assert {8, 16, 32, 64} < widths and min(widths - {8, 16, 32, 64}) < 64 < max(widths), widths
+    assert max(abs(c) for _, c in a.terms) > 2**64
+
+
 def test_one_digit_chain_sums():
     # t = 1 has no link and n = 0 one chain, so the chain sum is a monomial
-    # with value 1 at q = 1, read as a single digit of width 1
+    # with value 1 at q = 1, read as a single digit
     for n in range(6):
         assert habiro_a(parse_knot("!t2:1"), n) == qp({n * (n + 3) // 2: -1 if n % 2 else 1}), n
     for t in range(1, 8):

@@ -18,7 +18,6 @@ from cycloknot.qtools import (
     qbinomial_at_root,
     qbinomial_balanced,
     qfactorial,
-    qint,
     qpochhammer,
     sigma,
     sigma_at_root,
@@ -40,14 +39,12 @@ def xq(d):
     return LaurentPoly.make(("x", "q"), {(2 * a, 2 * b): c for (a, b), c in d.items()})
 
 
-class TestQIntegers:
-    def test_qint(self):
-        assert qint(0) == 0
-        assert qint(1) == 1
-        assert qint(3) == qp({0: 1, 1: 1, 2: 1})
-        with pytest.raises(ValueError):
-            qint(-1)
+def qint(n: int) -> LaurentPoly:
+    """[n]_q = 1 + q + ... + q**(n-1), written out term by term."""
+    return LaurentPoly.univar("q", {2 * j: 1 for j in range(n)})
 
+
+class TestQIntegers:
     def test_qfactorial_against_expansion_oracle(self):
         oracle = qp({0: 1, 1: 1}) * qp({0: 1, 1: 1, 2: 1})  # [2]_q [3]_q
         assert oracle == qp({0: 1, 1: 2, 2: 2, 3: 1})
