@@ -309,8 +309,9 @@ def _twist_chain_values(length: int, top: int, width: int, plus: bool) -> list[i
     shift and every q-binomial [n; k] a cell of row k of the shift-add
     table; P(1, n) = R(1, n) = 1.  The rows are read one at a time, k
     outermost, each adding its terms to every level lowest first: the entry
-    k of a level is then complete before the level above reads it, and only
-    one row of the table is alive.  The last level is kept at the top only.
+    k of a level is then complete before the level above reads it, and at
+    most two rows of the table are alive, a row and the one it is built
+    from.  The last level is kept at the top only.
     """
     columns = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(1, length)]
     for k, row in enumerate(_qbinomial_rows(width, [top - b for b in range(top + 1)])):
