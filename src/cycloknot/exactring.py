@@ -32,10 +32,10 @@ A product of two polynomials takes one of three shapes:
   (bivariate operands row by row, with a row stride wide enough that the
   variables never wrap into each other).  One bigint product replaces the
   term-pair loop.  Coefficient size is unlimited.  One digit reader,
-  _unpack, reads these products and the integer points of knots alike,
-  with digits as wide as _digit_width gives: digits of 8, 16, 32 or 64
-  bits convert in C through struct, and other widths are sliced from the
-  binary digits.
+  _unpack, reads these products and, through nonnegative_digits, the
+  integer points of knots alike, with digits as wide as _digit_width gives:
+  digits of 8, 16, 32 or 64 bits convert in C through struct, and other
+  widths are sliced from the binary digits.
 - Every other product goes by term pairs, adding each pair's unreduced
   convolution into one power vector per product exponent; each vector is
   reduced once, per output term rather than per pair, and dropped if it
@@ -59,7 +59,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from typing import Optional, Union
 
 
@@ -615,11 +615,8 @@ def _digit_width(bits: int) -> int:
 
 
 def _halves(size: int, width: int) -> int:
-    """sum(2**(width-1) * 2**(width*k)) for k < size: the top bit of every
-    digit, from bytes when the digits are whole bytes (the faster parse)."""
-    if width % 8:
-        return int(("1" + "0" * (width - 1)) * size, 2)
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * size, "little")
+    """sum(2**(width-1) * 2**(width*k)) for k < size: the top bit of every digit."""
+    return int(("1" + "0" * (width - 1)) * size, 2)
 
 
 def _pack(slots: list[int], coeffs: list[int], size: int, width: int) -> int:
@@ -658,6 +655,19 @@ def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]
     text = format(value, f"0{size * width}b")
     top = 1 << (width - 1) if signed else 0
     return [int(text[end - width : end], 2) - top for end in range(size * width, 0, -width)]
+
+
+def nonnegative_digits(value_at: Callable[[int], int]) -> list[int]:
+    """The coefficients c_0, c_1, ... of a polynomial S(q) with nonnegative
+    integer coefficients, from value_at(W) = S(2^W).
+
+    No coefficient exceeds S(1) = value_at(0), so each fits in a digit of
+    its bit length, or of the width _digit_width widens it to; the
+    coefficients are then the base-2^W digits of S(2^W), read by _unpack.
+    """
+    width = _digit_width(value_at(0).bit_length())
+    value = value_at(width)
+    return _unpack(value, -(-value.bit_length() // width), width, signed=False)
 
 
 def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:

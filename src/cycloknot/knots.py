@@ -59,7 +59,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactring import CycNumber, LaurentPoly, _digit_width, _unpack, exact_div, zeta
+from .exactring import CycNumber, LaurentPoly, exact_div, nonnegative_digits, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -285,15 +285,9 @@ def _qbinomials_at(width: int, reach: list[int]) -> Callable[[int, int], int]:
 
 def _read_off(value_at: Callable[[int], int], e2: int, sign: int) -> LaurentPoly:
     """sign q^(e2/2) S(q) for a sum S(q) with nonnegative coefficients, from
-    value_at(W) = S(2^W).
-
-    No coefficient exceeds S(1) = value_at(0), so each fits in a digit of
-    its bit length, or of the width exactring._digit_width widens it to; the
-    coefficients of S are then the base-2^W digits of S(2^W).
-    """
-    width = _digit_width(value_at(0).bit_length())
-    value = value_at(width)
-    digits = _unpack(value, -(-value.bit_length() // width), width, signed=False)
+    value_at(W) = S(2^W), whose base-2^W digits exactring.nonnegative_digits
+    reads as the coefficients of S."""
+    digits = nonnegative_digits(value_at)
     return LaurentPoly(("q",), tuple([((e2 + 2 * d,), sign * c) for d, c in enumerate(digits) if c]), None)
 
 
@@ -332,19 +326,20 @@ def _double_twist_value(l: int, m: int, n: int, width: int) -> int:
     return plus[-1] * _twist_chain_values(-l, n, width, False)[-1]
 
 
-def _double_twist_a(knot: DoubleTwist, n: int) -> LaurentPoly:
-    """a_n of K(l, m) as a chain multi-sum, read off one integer.
+def _double_twist_c(knot: DoubleTwist, n: int) -> LaurentPoly:
+    """C_n of K(l, m) as a chain multi-sum, read off one integer.
 
-    For l > 0, a_n = (-1)^n q^(n(n+1)/2 + n) P(l, n) P(m, n); for l < 0,
-    a_n = P(m, n) M(-l, n) = q^(-(-l-1)n(n+1)) P(m, n) R(-l, n).  Every link
-    weight has nonnegative coefficients, so the product D does too, and it
-    is read off D(2^W) as in the mirror torus sum.
+    For l > 0, C_n = q^n P(l, n) P(m, n); for l < 0,
+    C_n = (-1)^n q^(-n(n+1)/2) P(m, n) M(-l, n)
+        = (-1)^n q^((l+1/2)n(n+1)) P(m, n) R(-l, n).
+    Every link weight has nonnegative coefficients, so the product D does
+    too, and it is read off D(2^W) as in the mirror torus sum.
     """
     l, m = knot.l, knot.m
     if l > 0:
-        e2, sign = n * (n + 3), -1 if n % 2 else 1
+        e2, sign = 2 * n, 1
     else:
-        e2, sign = 2 * (l + 1) * n * (n + 1), 1
+        e2, sign = (2 * l + 1) * n * (n + 1), -1 if n % 2 else 1
     return _read_off(functools.partial(_double_twist_value, l, m, n), e2, sign)
 
 
@@ -452,8 +447,8 @@ def _twist_column(link: tuple[int, int, int, int], p: int, length: int, n: int) 
 
 
 def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
-    """a_n(e_p) of a double twist knot: the product of _double_twist_a, with
-    P and M the twist columns at q = e_p."""
+    """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the
+    product of _double_twist_c, with P and M the twist columns at q = e_p."""
     plus = _twist_column(_TWIST_PLUS, p, knot.m, n)
     if knot.l > 0:
         sign = -1 if n % 2 else 1
@@ -462,8 +457,16 @@ def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:
-    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n: the unmemoized
-    monomial shift (-1)^n q^(-n(n+1)/2) a_n of habiro_a."""
+    """Coefficient C_n(K; q) of (xq;q)_n (x^-1 q;q)_n, unmemoized.
+
+    For a double twist knot it is read off one integer, and habiro_a is its
+    monomial shift; for the other shapes it is the monomial shift
+    (-1)^n q^(-n(n+1)/2) a_n of habiro_a.
+    """
+    if n < 0:
+        raise ValueError(f"coefficient index must be >= 0, got {n}")
+    if isinstance(knot, DoubleTwist):
+        return _double_twist_c(knot, n)
     sign = -1 if n % 2 else 1
     return _q(-n * (n + 1), sign) * habiro_a(knot, n)
 
@@ -473,13 +476,15 @@ def habiro_a(knot: KnotSpec, n: int) -> LaurentPoly:
     """Coefficient a_n(K; q) of sigma_n(x, q) in the cyclotomic expansion.
 
     Every generic a_n is read off one integer: the double twist and mirror
-    torus chain sums at q = 2^W, and the other two shapes are their images
-    under q -> 1/q.
+    torus chain sums at q = 2^W (for a double twist knot through C_n, one
+    monomial away), and the other two shapes are their images under
+    q -> 1/q.
     """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if isinstance(knot, DoubleTwist):
-        return _double_twist_a(knot, n)
+        sign = -1 if n % 2 else 1
+        return _q(n * (n + 1), sign) * habiro_c(knot, n)
     if isinstance(knot, TorusTwoStrand):
         return _q_inverted(_mirror_torus_a(knot.t, n, None))
     if isinstance(knot, Mirror):

@@ -21,6 +21,7 @@ from cycloknot.exactring import (
     euler_phi,
     eval_at_root,
     exact_div,
+    nonnegative_digits,
     zeta,
 )
 
@@ -630,6 +631,21 @@ class TestDigitReader:
         digits = [d % 2**width for d in digits]
         value = sum(d << width * k for k, d in enumerate(digits))
         assert _unpack(value, len(digits), width, signed=False) == digits
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [1], [0, 0, 7], [3, 0, 255, 1], [2**40, 5, 2**40], [2**70, 0, 1], [1] * 300],
+    )
+    def test_nonnegative_digits_read_a_polynomial_off_its_integer_points(self, coeffs):
+        # S(1) bounds every coefficient, so the width read at q = 1 holds each digit
+        calls = []
+
+        def value_at(width):
+            calls.append(width)
+            return sum(c << width * k for k, c in enumerate(coeffs))
+
+        assert nonnegative_digits(value_at) == coeffs
+        assert calls == [0, _digit_width(sum(coeffs).bit_length())]
 
     def test_digit_widths(self):
         # the next C width when it is at most 8 bits wider, else the bits

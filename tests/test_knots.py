@@ -10,7 +10,7 @@ import pytest
 
 import cycloknot
 from cycloknot import invariants, knots
-from cycloknot.exactring import CycNumber, LaurentPoly, eval_at_root, exact_div
+from cycloknot.exactring import CycNumber, LaurentPoly, _digit_width, eval_at_root, exact_div
 from cycloknot.knots import (
     DoubleTwist,
     KnotParseError,
@@ -236,7 +236,7 @@ def test_double_twist_a_is_the_column_product_at_every_digit_width(spec):
     K = parse_knot(spec)
     widths = set()
     for n in (3, 4, 8, 12, 20, 24, 28, 36, 40):
-        widths.add(knots._digit_width(knots._double_twist_value(K.l, K.m, n, 0).bit_length()))
+        widths.add(_digit_width(knots._double_twist_value(K.l, K.m, n, 0).bit_length()))
         a = habiro_a(K, n)
         assert a == _column_product_a(K, n), (spec, n)
     assert {8, 16, 32, 64} < widths and min(widths - {8, 16, 32, 64}) < 64 < max(widths), widths
