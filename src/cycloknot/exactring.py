@@ -14,8 +14,10 @@ integer polynomial or scalar may meet an order-m polynomial in make, +, -, *,
 Z[zeta_d] -> Z[zeta_m] for d | m stays explicit through with_order(); two
 different cyclotomic orders meeting is a ValueError.
 
-All values are immutable and all operations are pure.  Results are reduced to
-a canonical form: no zero coefficients, terms sorted by exponent vector,
+All values are immutable and all operations are pure.  Both types, and the
+package's other value types, derive from Frozen: slotted classes whose
+fields cannot be assigned or deleted once built.  Results are reduced to a
+canonical form: no zero coefficients, terms sorted by exponent vector,
 cyclotomic residues fully reduced.
 
 Kernels.  Every reduction modulo the m-th cyclotomic polynomial goes through
@@ -58,7 +60,6 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
 from typing import Optional, Union
 
@@ -104,6 +105,7 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Degree of the m-th cyclotomic polynomial."""
     return len(cyclotomic_coeffs(m)) - 1
@@ -229,12 +231,62 @@ def _solve_integral(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> Option
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+# ---------------------------------------------------------------------------
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as its __slots__ and stores them
+    in __init__ through object.__setattr__; afterwards, assigning or deleting
+    any attribute raises AttributeError.  Equality, hashing and repr go field
+    by field: instances are equal when they are of one class and their fields
+    are equal, the hash is that of the tuple of fields, and repr reads
+    Name(field=value, ...).  A subclass may define its own.  The value types
+    are written this way, not with the standard library's generated record
+    classes, because importing that module pulls in inspect, ast and dis:
+    about a fifth of the package's start-up.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: restoring the slots one by
+        # one would go through __setattr__
+        return self.__class__, self._fields()
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic integers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycNumber:
+class CycNumber(Frozen):
     """An element of Z[zeta_m], reduced modulo the m-th cyclotomic polynomial.
 
     `coeffs` has length phi(m) and lists the coordinates on the power basis
@@ -244,15 +296,16 @@ class CycNumber:
     rational-integer value when there is one.
     """
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != euler_phi(self.order):
+    def __init__(self, order: int, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != euler_phi(order):
             raise ValueError(
-                f"order {self.order} needs {euler_phi(self.order)} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"order {order} needs {euler_phi(order)} coefficients, "
+                f"got {len(coeffs)}"
             )
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
 
     # -- constructors -------------------------------------------------------
 
@@ -738,8 +791,7 @@ def _pair_mul(t1: _Terms, t2: _Terms, m: Optional[int]) -> _Terms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Sparse Laurent polynomial; stored exponent e means actual exponent e/2.
 
     `terms` maps exponent vectors (one doubled integer per variable) to
@@ -747,9 +799,17 @@ class LaurentPoly:
     cyclotomic order of the coefficients, or None for integer coefficients.
     """
 
-    variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], Coeff], ...]
-    order: Optional[int] = None
+    __slots__ = ("variables", "terms", "order")
+
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        terms: tuple[tuple[tuple[int, ...], Coeff], ...],
+        order: Optional[int] = None,
+    ) -> None:
+        _set(self, "variables", variables)
+        _set(self, "terms", terms)
+        _set(self, "order", order)
 
     # -- construction --------------------------------------------------------
 

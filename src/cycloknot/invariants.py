@@ -19,11 +19,11 @@ generic q and over Z[zeta_p] respectively.  This module holds no cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .exactring import (
     CycNumber,
+    Frozen,
     InexactDivisionError,
     LaurentPoly,
     exact_div,
@@ -117,17 +117,19 @@ def check_torus_recurrence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdoPoly:
+class AdoPoly(Frozen):
     """ADO invariant at a p-th root of unity, as a Laurent polynomial in x.
 
     Half powers of x are carried by the doubled-exponent convention, so the
     chi-series form needs no separate variable.
     """
 
-    knot: Optional[KnotSpec]
-    p: int
-    poly: LaurentPoly
+    __slots__ = ("knot", "p", "poly")
+
+    def __init__(self, knot: Optional[KnotSpec], p: int, poly: LaurentPoly) -> None:
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "poly", poly)
 
 
 def ado(knot: KnotSpec, p: int) -> AdoPoly:
@@ -265,8 +267,7 @@ def normalized_wrt(value: CycNumber, p: int) -> tuple[CycNumber, Optional[CycNum
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CgpResult:
+class CgpResult(Frozen):
     """CGP of a 0-surgery: numerator polynomial plus normalization tags.
 
     The invariant itself is numerator / (u^p - u^-p)^2, times the extra tagged
@@ -274,12 +275,26 @@ class CgpResult:
     stay denominator-free.
     """
 
-    knot: KnotSpec
-    p: int
-    numerator: LaurentPoly
-    denominator_tag: str = "(u^p - u^-p)^2"
-    numerator_prefactor_tag: Optional[str] = None
-    denominator_extra_tag: Optional[str] = None
+    __slots__ = (
+        "knot", "p", "numerator", "denominator_tag", "numerator_prefactor_tag",
+        "denominator_extra_tag",
+    )
+
+    def __init__(
+        self,
+        knot: KnotSpec,
+        p: int,
+        numerator: LaurentPoly,
+        denominator_tag: str = "(u^p - u^-p)^2",
+        numerator_prefactor_tag: Optional[str] = None,
+        denominator_extra_tag: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator_tag", denominator_tag)
+        object.__setattr__(self, "numerator_prefactor_tag", numerator_prefactor_tag)
+        object.__setattr__(self, "denominator_extra_tag", denominator_extra_tag)
 
     def value_at(self, u_value: CycNumber) -> CycNumber:
         """Specialize u to a concrete root of unity and divide exactly.
@@ -336,15 +351,24 @@ def cgp_from_ado(knot: KnotSpec, p: int) -> CgpResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Frozen):
     """Outcome of one verified identity, with witnesses kept on failure."""
 
-    identity: str
-    params: dict
-    passed: bool
-    lhs: Optional[Union[LaurentPoly, CycNumber]] = None
-    rhs: Optional[Union[LaurentPoly, CycNumber]] = None
+    __slots__ = ("identity", "params", "passed", "lhs", "rhs")
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict,
+        passed: bool,
+        lhs: Optional[Union[LaurentPoly, CycNumber]] = None,
+        rhs: Optional[Union[LaurentPoly, CycNumber]] = None,
+    ) -> None:
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_json_obj(self) -> dict:
         return {

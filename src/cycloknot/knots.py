@@ -56,10 +56,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactring import CycNumber, LaurentPoly, exact_div, nonnegative_digits, zeta
+from .exactring import CycNumber, Frozen, LaurentPoly, exact_div, nonnegative_digits, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -68,40 +67,40 @@ from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleTwist:
+class DoubleTwist(Frozen):
     """K(l, m); canonical form has l <= m, both nonzero, not both negative."""
 
-    l: int
-    m: int
+    __slots__ = ("l", "m")
 
-    def __post_init__(self) -> None:
-        if self.l == 0 or self.m == 0:
+    def __init__(self, l: int, m: int) -> None:
+        if l == 0 or m == 0:
             raise ValueError("twist parameters must be nonzero")
-        if self.l > self.m:
-            raise ValueError(f"not in canonical order: l={self.l} > m={self.m}")
-        if self.l < 0 and self.m < 0:
+        if l > m:
+            raise ValueError(f"not in canonical order: l={l} > m={m}")
+        if l < 0 and m < 0:
             raise ValueError("both-negative twists normalize to a mirror; use double_twist()")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class TorusTwoStrand:
+class TorusTwoStrand(Frozen):
     """The torus knot T(2, 2t+1) with t >= 1."""
 
-    t: int
+    __slots__ = ("t",)
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"torus parameter must be >= 1, got {self.t}")
+    def __init__(self, t: int) -> None:
+        if t < 1:
+            raise ValueError(f"torus parameter must be >= 1, got {t}")
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Mirror:
-    inner: Union[DoubleTwist, TorusTwoStrand]
+class Mirror(Frozen):
+    __slots__ = ("inner",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.inner, Mirror):
+    def __init__(self, inner: Union[DoubleTwist, TorusTwoStrand]) -> None:
+        if isinstance(inner, Mirror):
             raise ValueError("nested mirrors normalize away; use mirror()")
+        object.__setattr__(self, "inner", inner)
 
 
 KnotSpec = Union[DoubleTwist, TorusTwoStrand, Mirror]

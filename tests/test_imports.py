@@ -1,5 +1,6 @@
-"""Import hygiene: every module-level import of the package is used, and
-every private function or method of the package is referenced.
+"""Import hygiene: every module-level import of the package is used, every
+private function or method of the package is referenced, and importing the
+package and its CLI leaves out dataclasses, whose import costs start-up.
 
 No linter ships with the test dependencies, so these are stdlib `ast` checks.
 `__init__.py` is exempt from the import check because its imports are the
@@ -12,6 +13,9 @@ anywhere in the package outside its own definition.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +108,18 @@ def test_the_check_finds_an_unreferenced_private_function():
         "    def __repr__(self):\n        return ''\n"
     )
     assert unreferenced_private({"m": source}) == ["m:_recursive (line 3)", "m:A._unused (line 6)"]
+
+
+def test_import_leaves_dataclasses_out():
+    # -S keeps site and its .pth hooks from importing modules of their own
+    src = str(Path(cycloknot.__file__).resolve().parents[1])
+    probe = "import sys, cycloknot, cycloknot.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "False\n"
