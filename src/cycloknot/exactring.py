@@ -235,6 +235,7 @@ def _solve_integral(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> Option
 # ---------------------------------------------------------------------------
 
 
+# CycNumber and LaurentPoly are built in the inner loops: one global lookup
 _set = object.__setattr__
 
 
@@ -243,13 +244,13 @@ class Frozen:
 
     A subclass lists its fields, in order, as its __slots__ and stores them
     in __init__ through object.__setattr__; afterwards, assigning or deleting
-    any attribute raises AttributeError.  Equality, hashing and repr go field
-    by field: instances are equal when they are of one class and their fields
-    are equal, the hash is that of the tuple of fields, and repr reads
-    Name(field=value, ...).  A subclass may define its own.  The value types
-    are written this way, not with the standard library's generated record
-    classes, because importing that module pulls in inspect, ast and dis:
-    about a fifth of the package's start-up.
+    any attribute raises AttributeError.  Unless a subclass defines its own,
+    equality, hashing and repr go field by field: instances are equal when
+    they are of one class and their fields are equal, the hash is that of
+    the tuple of fields, and repr reads Name(field=value, ...).  The value
+    types are written this way, not with the standard library's generated
+    record classes, because importing that module pulls in inspect, ast and
+    dis: about a fifth of the package's start-up.
     """
 
     __slots__ = ()
