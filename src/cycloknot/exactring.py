@@ -28,9 +28,10 @@ A product of two polynomials takes one of three shapes:
 - A one-term factor (or a scalar) is an exponent shift and a scalar
   multiply: Z and Z[zeta_m] are integral domains and a shift keeps the term
   order, so nothing is dropped or sorted.
-- Other integer products use Kronecker substitution: each operand is shifted
-  to exponent 0, its exponents are divided by their common gcd, and its
-  coefficients become balanced base-2**width digits of one Python int
+- Integer products of _PACK_MIN_PAIRS or more term pairs use Kronecker
+  substitution: each operand is shifted to exponent 0, its exponents are
+  divided by their common gcd, and its coefficients become balanced
+  base-2**width digits of one Python int
   (bivariate operands row by row, with a row stride wide enough that the
   variables never wrap into each other).  One bigint product replaces the
   term-pair loop.  Coefficient size is unlimited.  One digit reader,
@@ -38,20 +39,21 @@ A product of two polynomials takes one of three shapes:
   integer points of knots alike, with digits as wide as _digit_width gives:
   digits of 8, 16, 32 or 64 bits convert in C through struct, and other
   widths are sliced from the binary digits.
-- Every other product goes by term pairs, adding each pair's unreduced
-  convolution into one power vector per product exponent; each vector is
-  reduced once, per output term rather than per pair, and dropped if it
-  reduces to 0.  Products over Z[zeta_m] take this shape (their coefficients
-  are sparse in zeta, and packing zeta too was measured to be slower), as do
-  integer products whose packed layout would hold more digits than there are
-  term pairs, such as (1 + x**(10**9)) * (1 + x).
+- Every other product goes by term pairs.  Over Z[zeta_m] each pair's
+  unreduced convolution is added into one power vector per product
+  exponent; each vector is reduced once and dropped if it reduces to 0 (the
+  coefficients are sparse in zeta, and packing zeta too was measured to be
+  slower).  Small integer products, and those whose packed layout would
+  hold more digits than there are term pairs, sum into a dict.
 
 A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
 shift; such units are found through a memoized reverse index of the reduced
 powers of zeta.  Every other power, of either type, is the one
 square-and-multiply loop _power over the bits of n from the top: w**1 takes
-no product and w**4 two.  Other non-integer divisors are solved by
-fraction-free (Bareiss) integer elimination.
+no product and w**4 two.  Other non-integer divisors of a CycNumber are
+solved by fraction-free (Bareiss) integer elimination; polynomial divisors
+of two or more terms, and so the cyclotomic tables, go through one packed
+kernel, _packed_div.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import functools
 import math
 import operator
 import struct
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Optional, Union
 
 
@@ -68,41 +70,28 @@ class InexactDivisionError(ArithmeticError):
     """A division that was required to be exact left a remainder."""
 
 
-# ---------------------------------------------------------------------------
-# dense integer polynomials (internal, used only for cyclotomic reduction)
-# ---------------------------------------------------------------------------
-
-
-def _dense_exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of dense integer polynomials (constant term first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        coeff, rem = divmod(num[i + len(den) - 1], den[-1])
-        if rem:
-            raise InexactDivisionError("leading coefficient does not divide")
-        out[i] = coeff
-        for j, d in enumerate(den):
-            num[i + j] -= coeff * d
-    if any(num):
-        raise InexactDivisionError("nonzero remainder")
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     """Dense coefficients (constant term first) of the m-th cyclotomic polynomial.
 
-    Computed by exact division of t**m - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of m.
+    Phi_m(t) = Phi_r(t**(m/r)) for the radical r of m, and Phi_r is the
+    product of (t**d - 1)**mu(r/d) over the divisors d of r: each factor is
+    one shifted subtraction, and the product of the factors with mu = -1 is
+    divided out once, by the packed kernel.
     """
     if m < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _dense_exact_div(poly, list(cyclotomic_coeffs(d)))
-    return tuple(poly)
+    primes = _prime_factors(m)
+    r = math.prod(primes)
+    num, den = [1], [1]  # the products over mu(r/d) = 1 and over mu(r/d) = -1
+    for mask in range(1 << len(primes)):
+        d = r // math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        f = den if bin(mask).count("1") % 2 else num
+        f[:] = [a - b for a, b in zip([0] * d + f, f + [0] * d)]
+    phi_r = [c for (c,) in _packed_div([(c,) for c in num], den)]
+    out = [0] * ((m // r) * (len(phi_r) - 1) + 1)
+    out[:: m // r] = phi_r
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,15 +119,16 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row e - phi(m) lists the nonzero (i, c) of the residue of zeta_m**e, phi(m) <= e < 2m."""
-    rows = _power_rows(m)
-    return tuple(
-        tuple((i, c) for i, c in enumerate(rows[e % m]) if c) for e in range(euler_phi(m), 2 * m)
-    )
+    """Row e - phi(m) lists the nonzero (i, c) of the residue of zeta_m**e, for
+    phi(m) <= e < max(m, 2 phi(m) - 1): the longest buffer given to _reduce."""
+    rows, phi = _power_rows(m), euler_phi(m)
+    ends = range(phi, max(m, 2 * phi - 1))
+    return tuple(tuple((i, c) for i, c in enumerate(rows[e % m]) if c) for e in ends)
 
 
 def _reduce(m: int, powers: list[int]) -> tuple[int, ...]:
-    """Canonical coordinates of sum(powers[e] * zeta_m**e), for phi(m) <= len(powers) <= 2m.
+    """Canonical coordinates of sum(powers[e] * zeta_m**e), for
+    phi(m) <= len(powers) <= max(m, 2 phi(m) - 1).
 
     The one reduction modulo Phi_m: from_powers, CycNumber products and
     LaurentPoly products all reach the canonical basis through it.
@@ -557,7 +547,7 @@ class CycNumber(Frozen):
 
 def zeta(order: int, k: int = 1) -> CycNumber:
     """zeta_order**k, the standard primitive root when k = 1."""
-    return CycNumber.from_powers(order, {k: 1})
+    return CycNumber(order, _power_rows(order)[k % order])
 
 
 Coeff = Union[int, CycNumber]
@@ -604,6 +594,11 @@ def _int_exact_div(a: int, b: int) -> int:
 
 _IntTerms = tuple[tuple[tuple[int, ...], int], ...]
 
+# Below this many term pairs an integer product loops over the pairs: packing
+# costs 16-24 us, and the pair loop overtook it between 36 and 64 pairs
+# (CPython 3.11.7, 2-vCPU VM).
+_PACK_MIN_PAIRS = 40
+
 
 def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     """Canonical terms of the product of two canonical integer term tuples.
@@ -638,11 +633,11 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     # coefficients; digits of `width` bits hold it as a balanced digit.
     bound = min(len(t1), len(t2)) * max(abs(c) for _, c in t1) * max(abs(c) for _, c in t2)
     width = _digit_width(bound.bit_length() + 1)
-    digits = _unpack(
-        _pack(k1, [c for _, c in t1], size1, width) * _pack(k2, [c for _, c in t2], size2, width),
-        size,
-        width,
-    )
+    dense1, dense2 = [0] * size1, [0] * size2
+    for dense, slots, terms in ((dense1, k1, t1), (dense2, k2, t2)):
+        for k, (_, c) in zip(slots, terms):
+            dense[k] = c
+    digits = _unpack(_pack((dense1,), width) * _pack((dense2,), width), size, width)
     if len(lows) == 1:
         lo, st = lows[0], steps[0]
         return tuple(((lo + st * k,), c) for k, c in enumerate(digits) if c)
@@ -670,30 +665,31 @@ def _digit_width(bits: int) -> int:
 
 def _halves(size: int, width: int) -> int:
     """sum(2**(width-1) * 2**(width*k)) for k < size: the top bit of every digit."""
-    return int(("1" + "0" * (width - 1)) * size, 2)
+    return ((1 << width * size) - 1) // ((1 << width) - 1) << (width - 1)
 
 
-def _pack(slots: list[int], coeffs: list[int], size: int, width: int) -> int:
-    """sum(c * 2**(width*k)) over the slots k and their coefficients c.
+def _pack(rows: Iterable[Sequence[int]], width: int) -> int:
+    """sum(d_k * 2**(width*k)) over the digits d_k of the rows laid end to end.
 
-    Every coefficient must satisfy |c| < 2**(width-1), so that c plus the
+    Every digit must satisfy |d| < 2**(width-1), so that d plus the
     half 2**(width-1) is a nonnegative digit: the digits are written with the
     half added, and subtracting the halves again leaves the sum.  In C a
     digit is written in two's complement, which flipping its top bit turns
-    into the same digit plus the half.
+    into the same digit plus the half.  No list of all the digits is built.
     """
-    dense = [0] * size
-    for k, c in zip(slots, coeffs):
-        dense[k] = c
-    half = _halves(size, width)
     if code := _CAST_CODES.get(width):
-        return (int.from_bytes(struct.pack(f"<{size}{code}", *dense), "little") ^ half) - half
+        buf = b"".join([struct.pack(f"<{len(row)}{code}", *row) for row in rows])
+        half = _halves(len(buf) * 8 // width, width)
+        return (int.from_bytes(buf, "little") ^ half) - half
     top = 1 << (width - 1)
-    return int("".join([format(c + top, f"0{width}b") for c in reversed(dense)]), 2) - half
+    text = [format(c + top, f"0{width}b") for row in rows for c in row]
+    text.reverse()
+    return int("".join(text), 2) - _halves(len(text), width)
 
 
-def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]:
-    """The digits d_k of value = sum(d_k * 2**(width*k)), k < size.
+def _digit_rows(value: int, span: int, count: int, width: int, signed: bool = True) -> Iterator:
+    """The digits d_k of value = sum(d_k * 2**(width*k)), k < span*count, as
+    `count` rows of `span`; OverflowError when there are no such digits.
 
     Signed digits are balanced, |d_k| < 2**(width-1): adding the half to
     every digit makes them all nonnegative, so none borrows.  Unsigned
@@ -701,14 +697,26 @@ def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]
     convert in C, where flipping the top bits back leaves each signed digit
     in two's complement; other widths are sliced from the binary digits.
     """
+    size = span * count
     half = _halves(size, width) if signed else 0
     value += half
+    if value < 0 or value >> width * size:
+        raise OverflowError(f"{size} digits of {width} bits cannot hold the value")
     if code := _CAST_CODES.get(width):
         buf = (value ^ half).to_bytes(size * width // 8, "little")
-        return list(struct.unpack(f"<{size}{code if signed else code.upper()}", buf))
+        fmt = struct.Struct(f"<{span}{code if signed else code.upper()}")
+        return (fmt.unpack_from(buf, k * fmt.size) for k in range(count))
     text = format(value, f"0{size * width}b")
     top = 1 << (width - 1) if signed else 0
-    return [int(text[end - width : end], 2) - top for end in range(size * width, 0, -width)]
+    ends = range(size * width, 0, -width)
+    rows = (ends[k * span : k * span + span] for k in range(count))
+    return ([int(text[e - width : e], 2) - top for e in row] for row in rows)
+
+
+def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]:
+    """The size digits of value, one row of _digit_rows."""
+    (digits,) = _digit_rows(value, size, 1, width, signed)
+    return list(digits)
 
 
 def nonnegative_digits(value_at: Callable[[int], int]) -> list[int]:
@@ -722,6 +730,48 @@ def nonnegative_digits(value_at: Callable[[int], int]) -> list[int]:
     width = _digit_width(value_at(0).bit_length())
     value = value_at(width)
     return _unpack(value, -(-value.bit_length() // width), width, signed=False)
+
+
+def _packed_div(cols: list[tuple[int, ...]], den: list[int]) -> list[tuple[int, ...]]:
+    """N / den for an integer polynomial den and a dense N whose coefficients
+    are integer vectors (constant term first); InexactDivisionError unless
+    the quotient is integral.
+
+    Each coordinate of N is one block of balanced base-2**w digits, as long
+    as N, so one integer division N(2**w) // D(2**w) divides every block,
+    and a nonzero remainder proves the division inexact.  The quotient's
+    digits are its coefficients once they fit in w bits: the check product
+    Q*D == N, at a width that holds both sides, makes that sound.  Else w
+    doubles, up to the Mignotte bound: a factor of degree k of N has
+    coefficients below 2**k * ||N||_2.
+    """
+    span, size, count = len(cols), len(cols) - len(den) + 1, len(cols[0])
+    if size < 1:
+        raise InexactDivisionError("nonzero remainder in polynomial division")
+    n_max, d_max = max(max(map(max, cols)), -min(map(min, cols))), max(map(abs, den))
+    width, limit = _digit_width(max(n_max, d_max).bit_length() + 1), 0
+    while True:
+        value, rem = divmod(_pack(zip(*cols), width), _pack((den,), width))
+        if rem:
+            raise InexactDivisionError("nonzero remainder in polynomial division")
+        try:
+            digits = _digit_rows(value, span, count, width)
+            rows = [row[:size] for row in digits if not any(row[size:])]
+        except OverflowError:
+            rows = []
+        if len(rows) == count:
+            q_max = max(max(map(max, rows)), -min(map(min, rows)))
+            check = _digit_width(max(min(size, len(den)) * q_max * d_max, n_max).bit_length() + 1)
+            # at check <= width it is value * D(2**width) == N(2**width); else block by block
+            d_at = _pack((den,), check)
+            checks = (_pack((q,), check) * d_at == _pack((n,), check) for q, n in zip(rows, zip(*cols)))
+            if check <= width or all(checks):
+                return list(zip(*rows))
+        if not limit:
+            limit = size + (max(sum(c * c for c in row) for row in zip(*cols)).bit_length() + 1) // 2
+        if width >= limit:
+            raise InexactDivisionError("no quotient in Z[x] within the Mignotte bound")
+        width = _digit_width(min(2 * width, limit))
 
 
 def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:
@@ -760,15 +810,24 @@ def _sparse_coords(terms: _Terms) -> list[tuple[tuple[int, ...], list[tuple[int,
     return [(e, _nonzero(c.coeffs) if isinstance(c, CycNumber) else [(0, c)]) for e, c in terms]
 
 
-def _pair_mul(t1: _Terms, t2: _Terms, m: Optional[int]) -> _Terms:
-    """Canonical terms of the product of two canonical term tuples, pair by pair.
+def _int_pair_mul(t1: _IntTerms, t2: _IntTerms) -> _IntTerms:
+    """Canonical terms of the product of two canonical integer term tuples, pair by pair."""
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, a in t1:
+        for e2, b in t2:
+            key = tuple(map(operator.add, e1, e2))
+            acc[key] = acc.get(key, 0) + a * b
+    return tuple(sorted([(key, c) for key, c in acc.items() if c]))
+
+
+def _pair_mul(t1: _Terms, t2: _Terms, m: int) -> _Terms:
+    """Canonical terms of the product over Z[zeta_m] of two canonical term tuples, pair by pair.
 
     Each term pair's coefficient product is added, unreduced, into one power
-    vector per product exponent.  Over Z[zeta_m] each vector is then reduced
-    mod Phi_m once (integer coefficients promote here); over Z (m None) it
-    has one entry.  A sum that is 0 is dropped.
+    vector per product exponent; each vector is then reduced mod Phi_m once
+    (integer coefficients promote here), and dropped if it is 0.
     """
-    size = 1 if m is None else 2 * euler_phi(m) - 1
+    size = 2 * euler_phi(m) - 1
     s2 = _sparse_coords(t2)
     bufs: dict[tuple[int, ...], list[int]] = {}
     for e1, a in _sparse_coords(t1):
@@ -780,8 +839,7 @@ def _pair_mul(t1: _Terms, t2: _Terms, m: Optional[int]) -> _Terms:
             _convolve_into(buf, a, b)
     out = []
     for key in sorted(bufs):
-        buf = bufs[key]
-        c = buf[0] if m is None else CycNumber(m, _reduce(m, buf))
+        c = CycNumber(m, _reduce(m, bufs[key]))
         if c:
             out.append((key, c))
     return tuple(out)
@@ -931,10 +989,10 @@ class LaurentPoly(Frozen):
             terms = ()
         elif len(t1) == 1:
             terms = _shift_mul(t2, *t1[0])
-        elif order is None and (packed := _kronecker_mul(t1, t2)) is not None:
-            terms = packed
-        else:
+        elif order is not None:
             terms = _pair_mul(t1, t2, order)
+        elif len(t1) * len(t2) < _PACK_MIN_PAIRS or (terms := _kronecker_mul(t1, t2)) is None:
+            terms = _int_pair_mul(t1, t2)
         return LaurentPoly(self.variables, terms, order)
 
     __rmul__ = __mul__
@@ -1155,28 +1213,30 @@ def eval_at_root(
             f"order {target} cannot hold the value: half-integer exponents need "
             f"the even lift of order {natural}"
         )
-    if f.order is not None:
-        if target % f.order:
-            raise ValueError(f"order {f.order} does not divide {target}")
-        step = target // f.order
-    pairs: list[tuple[int, int]] = []
+    step = 0 if f.order is None else target // f.order
+    if f.order is not None and target % f.order:
+        raise ValueError(f"order {f.order} does not divide {target}")
+    buckets = [0] * target
     for (e,), c in f.terms:
-        num = k * e * target
-        if num % (2 * m):
+        shift, off = divmod(k * e * target, 2 * m)
+        if off:
             raise ValueError("exponent does not land in the target ring")
-        shift = num // (2 * m)
         if f.order is None:
-            pairs.append((shift, c))
+            buckets[shift % target] += c
         else:
-            pairs.extend((shift + i * step, ci) for i, ci in enumerate(c.coeffs) if ci)
-    return CycNumber.from_powers(target, pairs)
+            for i, ci in enumerate(c.coeffs):
+                buckets[(shift + i * step) % target] += ci
+    return CycNumber(target, _reduce(target, buckets))
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises InexactDivisionError.
 
     The denominator must be constant or univariate in the numerator's single
-    variable.
+    variable.  A constant or a monomial divides coefficient by coefficient;
+    other denominators go through _packed_div, which divides every Z[zeta_m]
+    coordinate at once.  A denominator outside Z[x] is first made integral:
+    times its other Galois conjugates, it becomes its norm.
     """
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -1192,25 +1252,25 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ValueError("non-constant division needs matching univariate polynomials")
     if num.is_zero():
         return LaurentPoly.zero(num.variables, order)
-    var = num.variables[0]
-    num_min, den_min = num.min_exp2(var), den.min_exp2(var)
-    shift = num_min - den_min
-    rem = {e[0] - num_min: c for e, c in num.terms}
-    dterms = sorted((e[0] - den_min, c) for e, c in den.terms)
-    dlead_e, dlead_c = dterms[-1]
-    quo: dict[int, Coeff] = {}
-    while rem:
-        rlead_e = max(rem)
-        if rlead_e < dlead_e:
-            raise InexactDivisionError("nonzero remainder in polynomial division")
-        q = div(rem[rlead_e], dlead_c)
-        qe = rlead_e - dlead_e
-        quo[qe] = q
-        for de, dc in dterms:
-            key = de + qe
-            val = rem.get(key, 0) - dc * q
-            if not val:
-                rem.pop(key, None)
-            else:
-                rem[key] = val
-    return LaurentPoly.make(num.variables, {(e + shift,): c for e, c in quo.items()}, order)
+    if len(den.terms) == 1:
+        (((de,), d),) = den.terms
+        return LaurentPoly.make(num.variables, {(e - de,): div(c, d) for (e,), c in num.terms}, order)
+    if order is not None and not all(c.is_integer() for _, c in den.terms):
+        conjugates = [den.galois(k) for k in range(2, order) if math.gcd(k, order) == 1]
+        num, den = (functools.reduce(operator.mul, conjugates, f) for f in (num, den))
+    nexps, dexps = [e for (e,), _ in num.terms], [e for (e,), _ in den.terms]
+    # the exponents step by the gcd of all offsets, and so do the quotient's
+    step = math.gcd(*[e - nexps[0] for e in nexps], *[e - dexps[0] for e in dexps])
+    dense = [0] * ((dexps[-1] - dexps[0]) // step + 1)
+    for e, (_, c) in zip(dexps, den.terms):
+        dense[(e - dexps[0]) // step] = c if order is None else c.as_int()
+    # the coordinate vector of every exponent in num's span, (c,) over Z
+    cols = [(0,) * (1 if order is None else euler_phi(order))] * ((nexps[-1] - nexps[0]) // step + 1)
+    for e, (_, c) in zip(nexps, num.terms):
+        cols[(e - nexps[0]) // step] = (c,) if order is None else c.coeffs
+    terms = [
+        ((nexps[0] - dexps[0] + step * i,), c[0] if order is None else CycNumber(order, c))
+        for i, c in enumerate(_packed_div(cols, dense))
+        if any(c)
+    ]
+    return LaurentPoly(num.variables, tuple(terms), order)

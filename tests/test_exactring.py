@@ -12,6 +12,7 @@ from cycloknot.exactring import (
     InexactDivisionError,
     LaurentPoly,
     _CAST_CODES,
+    _PACK_MIN_PAIRS,
     _digit_width,
     _kronecker_mul,
     _pack,
@@ -24,6 +25,7 @@ from cycloknot.exactring import (
     nonnegative_digits,
     zeta,
 )
+from cycloknot.qtools import qbinomial, qpochhammer
 
 
 def tpoly(d):
@@ -619,7 +621,7 @@ class TestDigitReader:
     def test_pack_and_unpack_round_trip(self, case):
         width, digits = case
         size = len(digits)
-        value = _pack(list(range(size)), digits, size, width)
+        value = _pack([digits], width)
         assert value == sum(d << width * k for k, d in enumerate(digits))
         assert _unpack(value, size, width) == digits
 
@@ -805,8 +807,11 @@ class TestExactDivErrors:
     def test_inexact_division_raises(self):
         num = LaurentPoly.univar("x", {2: 1, 0: 1})  # x + 1
         den = LaurentPoly.univar("x", {2: 1, 0: -1})  # x - 1
-        with pytest.raises(InexactDivisionError):
+        with pytest.raises(InexactDivisionError, match="remainder"):
             exact_div(num, den)
+        zeta_num = LaurentPoly.univar("x", {2: zeta(5), 0: 2}, 5)
+        with pytest.raises(InexactDivisionError, match="remainder"):
+            exact_div(zeta_num, den)
 
     def test_laurent_shifts(self):
         num = LaurentPoly.univar("x", {-2: 1, 4: 1})  # x^-1 + x^2
@@ -819,3 +824,197 @@ class TestExactDivErrors:
         assert exact_div(num, den) == LaurentPoly.univar("x", {2: 2, 0: -3})
         with pytest.raises(InexactDivisionError):
             exact_div(LaurentPoly.univar("x", {0: 3}), den)
+
+
+def schoolbook_div(num, den):
+    """Labelled oracle for exact_div: the schoolbook long division that the
+    packed kernel replaced.
+
+    Each step divides the remainder's leading coefficient by the
+    denominator's, in Z or through CycNumber.exact_div in Z[zeta_m], and
+    subtracts that quotient term times the denominator.  It shares no code
+    with the kernel under test.
+    """
+    order = num.order or den.order
+    if order is not None:
+        num, den = num.with_order(order), den.with_order(order)
+
+    def div(a, b):
+        if order is not None:
+            return a.exact_div(b)
+        q, r = divmod(a, b)
+        if r:
+            raise InexactDivisionError(f"{a} is not divisible by {b}")
+        return q
+
+    if num.is_zero():
+        return LaurentPoly.zero(num.variables, order)
+    num_min = min(e for (e,), _ in num.terms)
+    den_min = min(e for (e,), _ in den.terms)
+    rem = {e - num_min: c for (e,), c in num.terms}
+    dterms = sorted((e - den_min, c) for (e,), c in den.terms)
+    dlead_e, dlead_c = dterms[-1]
+    quo = {}
+    while rem:
+        top = max(rem)
+        if top < dlead_e:
+            raise InexactDivisionError("nonzero remainder")
+        q = div(rem[top], dlead_c)
+        quo[top - dlead_e] = q
+        for de, dc in dterms:
+            key = de + top - dlead_e
+            val = rem.get(key, 0) - dc * q
+            if val:
+                rem[key] = val
+            else:
+                rem.pop(key, None)
+    shift = num_min - den_min
+    return LaurentPoly.make(num.variables, {(e + shift,): c for e, c in quo.items()}, order)
+
+
+def outcome(divide, num, den):
+    try:
+        return divide(num, den)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+# integer coefficients up to and past 2**64
+wide_ints = st.one_of(small_ints, byte_edges, st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def division_cases(draw):
+    """(q, d, r): a quotient, a denominator of two or more terms and a
+    perturbation, over Z or Z[zeta_m] for m <= 12; the denominator is over Z
+    or over the numerator's ring.  Exponents are doubled, so odd ones are
+    half-integer shifts."""
+    m = draw(st.sampled_from([None, *range(1, 13)]))
+
+    def polys(order, coeffs, min_size, max_size):
+        terms = st.dictionaries(st.integers(-9, 9), coeffs, min_size=min_size, max_size=max_size)
+        return terms.map(lambda d: LaurentPoly.univar("x", d, order))
+
+    def coeffs(order):
+        if order is None:
+            return wide_ints
+        deg = euler_phi(order)
+        coords = st.lists(st.one_of(small_ints, wide_ints), min_size=deg, max_size=deg)
+        return coords.map(lambda cs: CycNumber(order, tuple(cs)))
+
+    q = draw(polys(m, coeffs(m), 0, 6))
+    d_order = draw(st.sampled_from([None, m]))
+    d = draw(polys(d_order, coeffs(d_order), 2, 4).filter(lambda p: len(p.terms) >= 2))
+    r = draw(polys(m, coeffs(m), 0, 2))
+    return q, d, r
+
+
+class TestPackedDivision:
+    @settings(deadline=None, max_examples=100)
+    @given(division_cases())
+    def test_matches_the_schoolbook_oracle(self, case):
+        q, d, r = case
+        num = q * d
+        got = exact_div(num, d)
+        assert got == q and got == schoolbook_div(num, d)
+        assert_canonical(got)
+        assert got.order == (q.order or d.order)
+        perturbed = num + r
+        if not perturbed.is_zero():
+            got = outcome(exact_div, perturbed, d)
+            assert got == outcome(schoolbook_div, perturbed, d)
+            if got is not InexactDivisionError:
+                assert_canonical(got)
+
+    def test_quotient_and_denominator_wider_than_the_numerator(self):
+        # the start width must hold the denominator's 17 bits as well as the
+        # numerator's 13, and widen for the q-binomial's 50
+        num, den = qpochhammer(60), qpochhammer(30) * qpochhammer(30)
+        bits = [max(abs(c) for _, c in p.terms).bit_length() for p in (num, den, qbinomial(60, 30))]
+        assert bits[0] < bits[1] and 2 * bits[1] < bits[2]
+        assert exact_div(num, den) == qbinomial(60, 30)
+        # and one past 64-bit digits: (x + 1) * (2**70 x**2 + 3x - 2**70)
+        den = LaurentPoly.univar("x", {4: 2**70, 2: 3, 0: -(2**70)})
+        num = den * LaurentPoly.univar("x", {2: 1, 0: 1})
+        assert max(abs(c) for _, c in num.terms) < 2 ** 71
+        assert exact_div(num, den) == LaurentPoly.univar("x", {2: 1, 0: 1})
+
+    def test_widening_past_the_degree(self):
+        # C (t**105 - 1) / prod(Phi_d, d | 105, d < 105) is C Phi_105, whose
+        # coefficient -2C needs one bit more than the start width holds:
+        # the bound that stops the widening must count ||N||_2, not only
+        # the quotient's 49 terms
+        c = 2**200 - 1
+        den = LaurentPoly.univar("t", {0: 1})
+        for d in (1, 3, 5, 7, 15, 21, 35):
+            den = den * cyclotomic_polynomial(d)
+        num = LaurentPoly.univar("t", {210: c, 0: -c})
+        assert exact_div(num, den) == cyclotomic_polynomial(105) * c
+
+    def test_failed_check_product_raises(self):
+        # (x + 3)(x**2 + x + 2) / (2x + 6) is (x**2 + x + 2)/2, not in Z[x],
+        # yet (4**w + 2**w + 2)/2 is an integer at every width w: no remainder
+        # ever shows, and only the check product rejects the digits
+        num = LaurentPoly.univar("x", {6: 1, 4: 4, 2: 5, 0: 6})
+        den = LaurentPoly.univar("x", {2: 2, 0: 6})
+        with pytest.raises(InexactDivisionError, match="Mignotte"):
+            exact_div(num, den)
+        with pytest.raises(InexactDivisionError):
+            schoolbook_div(num, den)
+
+
+def recursive_cyclotomic_oracle(limit):
+    """Labelled oracle for cyclotomic_coeffs: Phi_m as t**m - 1 divided, by
+    schoolbook long division, by Phi_d for each proper divisor d of m, the
+    largest first; every m <= limit."""
+    table = {}
+    for m in range(1, limit + 1):
+        poly = [-1] + [0] * (m - 1) + [1]
+        for d in range(m - 1, 0, -1):
+            if m % d:
+                continue
+            den = table[d]
+            assert den[-1] == 1  # monic: every step divides exactly
+            terms = [(j, c) for j, c in enumerate(den) if c]
+            out = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(out) - 1, -1, -1):
+                q = out[i] = poly[i + len(den) - 1]
+                if q:
+                    for j, c in terms:
+                        poly[i + j] -= q * c
+            assert not any(poly)
+            poly = out
+        table[m] = tuple(poly)
+    return table
+
+
+class TestCyclotomicTables:
+    def test_every_order_to_1000_matches_the_recursive_division_oracle(self):
+        # includes 280 = 2**3 * 5 * 7, 210 = 2 * 3 * 5 * 7, prime powers and 2 * odd
+        for m, coeffs in recursive_cyclotomic_oracle(1000).items():
+            assert cyclotomic_coeffs(m) == coeffs, m
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 27, 30, 60, 105, 280]),
+           st.one_of(st.integers(-50, 50), st.integers(-(10**12), 10**12)))
+    def test_zeta_is_the_reduced_power(self, m, k):
+        assert zeta(m, k) == CycNumber.from_powers(m, {k: 1})
+        assert zeta(m, k).coeffs == CycNumber.from_powers(m, {k: 1}).coeffs
+
+
+class TestSmallIntegerProducts:
+    def test_below_the_crossover_products_loop_over_pairs(self, monkeypatch):
+        import cycloknot.exactring as exactring
+
+        calls = []
+        monkeypatch.setattr(exactring, "_kronecker_mul", lambda a, b: calls.append(1) or None)
+        f = LaurentPoly.make(("x", "q"), {(0, 1): 3, (2, -1): -2, (4, 0): 5})
+        g = LaurentPoly.univar("q", {e: 2**70 + e for e in range((_PACK_MIN_PAIRS - 1) // 2)})
+        two = LaurentPoly.univar("q", {0: 1, 3: -2})
+        for a, b in ((f, f), (g, two), (two, g)):
+            assert len(a.terms) * len(b.terms) < _PACK_MIN_PAIRS
+            assert a * b == schoolbook_mul(a, b)
+        assert not calls
+        h = LaurentPoly.univar("q", {e: e + 1 for e in range(_PACK_MIN_PAIRS // 2)})
+        assert h * two == schoolbook_mul(h, two)
+        assert calls
