@@ -59,6 +59,7 @@ kernel, _packed_div.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -302,11 +303,11 @@ class CycNumber(Frozen):
 
     @staticmethod
     def zero(order: int) -> CycNumber:
-        return CycNumber(order, (0,) * euler_phi(order))
+        return _cyc(order, (0,) * euler_phi(order))
 
     @staticmethod
     def from_int(order: int, n: int) -> CycNumber:
-        return CycNumber(order, (n,) + (0,) * (euler_phi(order) - 1))
+        return _cyc(order, (n,) + (0,) * (euler_phi(order) - 1))
 
     @staticmethod
     def from_powers(order: int, powers: Mapping[int, int] | Iterable[tuple[int, int]]) -> CycNumber:
@@ -315,7 +316,7 @@ class CycNumber(Frozen):
         buckets = [0] * order
         for e, c in items:
             buckets[e % order] += c
-        return CycNumber(order, _reduce(order, buckets))
+        return _cyc(order, _reduce(order, buckets))
 
     # -- ring structure -----------------------------------------------------
 
@@ -332,18 +333,20 @@ class CycNumber(Frozen):
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _cyc(self.order, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not CycNumber or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _cyc(self.order, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other: int) -> "CycNumber":
         # only an int reaches here: a CycNumber on the left runs its own __sub__
@@ -352,17 +355,18 @@ class CycNumber(Frozen):
         return (-self) + other
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.order, tuple(-a for a in self.coeffs))
+        return _cyc(self.order, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other: Union[int, "CycNumber"]) -> "CycNumber":
         if isinstance(other, int):
-            return CycNumber(self.order, tuple(a * other for a in self.coeffs))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+            return _cyc(self.order, tuple(map(operator.mul, self.coeffs, itertools.repeat(other))))
+        if other.__class__ is not CycNumber or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         conv = [0] * (2 * len(self.coeffs) - 1)
         _convolve_into(conv, _nonzero(self.coeffs), _nonzero(other.coeffs))
-        return CycNumber(self.order, _reduce(self.order, conv))
+        return _cyc(self.order, _reduce(self.order, conv))
 
     __rmul__ = __mul__
 
@@ -422,7 +426,7 @@ class CycNumber(Frozen):
             raise ZeroDivisionError("division by zero in Z[zeta]")
         if other.is_integer():
             d = other.as_int()
-            return CycNumber(self.order, tuple(_int_exact_div(a, d) for a in self.coeffs))
+            return _cyc(self.order, tuple(_int_exact_div(a, d) for a in self.coeffs))
         unit = self._unit_exponent(other)
         if unit is not None:
             k, sign = unit
@@ -437,7 +441,7 @@ class CycNumber(Frozen):
         quotient = _solve_integral(cols, self.coeffs)
         if quotient is None:
             raise InexactDivisionError(f"{self} is not divisible by {other}")
-        return CycNumber(self.order, tuple(quotient))
+        return _cyc(self.order, tuple(quotient))
 
     @staticmethod
     def _unit_exponent(u: "CycNumber") -> Optional[tuple[int, int]]:
@@ -492,7 +496,7 @@ class CycNumber(Frozen):
             # p may carry coefficients.
             if any(c for i, c in enumerate(self.coeffs) if i % p):
                 return None
-            return CycNumber(d, self.coeffs[::p])
+            return _cyc(d, self.coeffs[::p])
         # m = p*d with p prime to d: zeta_m**i = zeta_d**(s*i) * zeta_p**(t*i)
         # where s*p + t*d = 1.  Averaging over Gal(Q(zeta_m)/Q(zeta_d)) turns
         # zeta_p**(t*i) into 1 when p | i and into -1/(p-1) otherwise; the
@@ -507,7 +511,7 @@ class CycNumber(Frozen):
             if r:
                 return None
             coeffs.append(q)
-        y = CycNumber(d, tuple(coeffs))
+        y = _cyc(d, tuple(coeffs))
         return y if y.embed(m).coeffs == self.coeffs else None
 
     def render(self) -> str:
@@ -545,9 +549,21 @@ class CycNumber(Frozen):
         return CycNumber(int(obj["order"]), tuple(int(c) for c in obj["coeffs"]))
 
 
+def _cyc(order: int, coeffs: tuple[int, ...]) -> CycNumber:
+    """The CycNumber with these coordinates, which the ring layer computed.
+
+    Every result of a ring operation is built here, without the length
+    check of CycNumber(...), which stays for outside input.
+    """
+    c = object.__new__(CycNumber)
+    _set(c, "order", order)
+    _set(c, "coeffs", coeffs)
+    return c
+
+
 def zeta(order: int, k: int = 1) -> CycNumber:
     """zeta_order**k, the standard primitive root when k = 1."""
-    return CycNumber(order, _power_rows(order)[k % order])
+    return _cyc(order, _power_rows(order)[k % order])
 
 
 Coeff = Union[int, CycNumber]
@@ -802,7 +818,7 @@ def _unit_times(d: Coeff, m: int, k: int, sign: int) -> CycNumber:
         return d
     coeffs = d.coeffs
     powers = [sign * x for x in coeffs] + [0] * (m - len(coeffs))
-    return CycNumber(m, _reduce(m, powers[m - k :] + powers[: m - k]))
+    return _cyc(m, _reduce(m, powers[m - k :] + powers[: m - k]))
 
 
 def _sparse_coords(terms: _Terms) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -839,7 +855,7 @@ def _pair_mul(t1: _Terms, t2: _Terms, m: int) -> _Terms:
             _convolve_into(buf, a, b)
     out = []
     for key in sorted(bufs):
-        c = CycNumber(m, _reduce(m, bufs[key]))
+        c = _cyc(m, _reduce(m, bufs[key]))
         if c:
             out.append((key, c))
     return tuple(out)
@@ -925,12 +941,6 @@ class LaurentPoly(Frozen):
             return self.variables.index(name)
         except ValueError:
             raise ValueError(f"no variable {name!r} in {self.variables}") from None
-
-    def min_exp2(self, name: str) -> int:
-        i = self._var_index(name)
-        if self.is_zero():
-            raise ValueError("zero polynomial has no exponents")
-        return min(e[i] for e, _ in self.terms)
 
     def max_exp2(self, name: str) -> int:
         i = self._var_index(name)
@@ -1199,14 +1209,23 @@ def eval_at_root(
 
     Half-integer exponents are realized through zeta_{2m}, so they force the
     result into order 2m (or any requested multiple); asking for an order that
-    cannot hold the value is an error.
+    cannot hold the value is an error.  The value of q**(e/2) depends on e
+    only modulo 2m, so the terms are first summed by that residue, and each
+    residue present is then checked and placed once.  A residue counts as
+    present even when its sum is 0: q**(1/2) - q**(1/2 + m) still lands in
+    order 2m.
     """
     if len(f.variables) != 1:
         raise ValueError("eval_at_root needs a univariate polynomial")
     if m < 1:
         raise ValueError("root order must be >= 1")
-    halves = any(e[0] % 2 for e, _ in f.terms)
-    natural = 2 * m if halves else m
+    two_m = 2 * m
+    sums: dict[int, Coeff] = {}
+    for (e,), c in f.terms:
+        r = e % two_m
+        sums[r] = sums[r] + c if r in sums else c  # type: ignore[operator]
+    halves = any(r % 2 for r in sums)
+    natural = two_m if halves else m
     target = natural if order is None else order
     if target % natural:
         raise ValueError(
@@ -1217,8 +1236,8 @@ def eval_at_root(
     if f.order is not None and target % f.order:
         raise ValueError(f"order {f.order} does not divide {target}")
     buckets = [0] * target
-    for (e,), c in f.terms:
-        shift, off = divmod(k * e * target, 2 * m)
+    for r, c in sums.items():
+        shift, off = divmod(k * r * target, two_m)
         if off:
             raise ValueError("exponent does not land in the target ring")
         if f.order is None:
@@ -1226,7 +1245,7 @@ def eval_at_root(
         else:
             for i, ci in enumerate(c.coeffs):
                 buckets[(shift + i * step) % target] += ci
-    return CycNumber(target, _reduce(target, buckets))
+    return _cyc(target, _reduce(target, buckets))
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -1269,7 +1288,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     for e, (_, c) in zip(nexps, num.terms):
         cols[(e - nexps[0]) // step] = (c,) if order is None else c.coeffs
     terms = [
-        ((nexps[0] - dexps[0] + step * i,), c[0] if order is None else CycNumber(order, c))
+        ((nexps[0] - dexps[0] + step * i,), c[0] if order is None else _cyc(order, c))
         for i, c in enumerate(_packed_div(cols, dense))
         if any(c)
     ]

@@ -325,11 +325,11 @@ def suite_jones_consistency(quick: bool, exploratory: bool) -> Iterator[Point]:
 
 
 def _qbinom_root_factorization(p: int, ab_max: int) -> Iterator[InvariantReport]:
+    # both sides evaluate a generic q-binomial at zeta_p, independently of
+    # qbinomial_at_root; the small right side once per (n, k)
+    small = {(n, k): eval_at_root(qbinomial(n, k), p) for n in range(p) for k in range(p)}
     pairs = (
-        (
-            eval_at_root(qbinomial(n + a * p, k + b * p), p),
-            eval_at_root(qbinomial(n, k), p) * math.comb(a, b),
-        )
+        (eval_at_root(qbinomial(n + a * p, k + b * p), p), small[n, k] * math.comb(a, b))
         for n in range(p)
         for k in range(p)
         for a in range(ab_max + 1)

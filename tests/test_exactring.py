@@ -802,6 +802,48 @@ class TestEvalAtRoot:
         with pytest.raises(ValueError):
             eval_at_root(f, 4, 1, order=8)
 
+    def test_cancelling_half_exponents_stay_in_even_order(self):
+        # q^(1/2) and q^(1/2 + m) share their residue and cancel at zeta_m,
+        # but a half-integer exponent is present: the value lives in order 2m
+        for m in (1, 2, 3, 5):
+            f = LaurentPoly.univar("q", {1: 1, 1 + 2 * m: -1})
+            v = eval_at_root(f, m)
+            assert v.order == 2 * m and v.is_zero()
+            g = LaurentPoly.univar("q", {1: 1, 1 + 2 * m: -1, 2: 3})
+            assert eval_at_root(g, m) == CycNumber.from_powers(2 * m, {2: 3})
+            assert eval_at_root(g, m).order == 2 * m
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_matches_power_sum_oracle(self, m):
+        # Labelled oracle: each term's own power of zeta_target, summed by
+        # CycNumber.from_powers, over k != 1, explicit orders and Z[zeta_d]
+        # coefficients, with exponents that collide modulo 2m
+        def oracle(f, k, target):
+            powers = []
+            for (e,), c in f.terms:
+                shift = k * e * target // (2 * m)
+                if f.order is None:
+                    powers.append((shift, c))
+                else:
+                    step = target // f.order
+                    powers.extend((shift + i * step, ci) for i, ci in enumerate(c.coeffs))
+            return CycNumber.from_powers(target, powers)
+
+        integral = {-3: 2, 1: -1, 1 + 2 * m: 4, 4 * m + 1: -3, 2 * m: 5, 6: 1, -4 * m - 3: 7}
+        whole = {e: c for e, c in integral.items() if e % 2 == 0}
+        for terms, natural in ((integral, 2 * m), (whole, m)):
+            f = LaurentPoly.univar("q", terms)
+            for k in (-3, -1, 0, 1, 2, 5):
+                for target in (natural, 2 * natural, 3 * natural):
+                    order = None if target == natural else target
+                    got = eval_at_root(f, m, k, order=order)
+                    assert got.order == target and got == oracle(f, k, target), (terms, k, target)
+        d = 2 * m if m % 2 else m
+        cyc = LaurentPoly.univar("q", {2: zeta(d) + 2, 2 + 2 * m: zeta(d, -1), -1: 3, 4: -1}, d)
+        for k in (-1, 1, 2):
+            got = eval_at_root(cyc, m, k, order=2 * m)
+            assert got == oracle(cyc, k, 2 * m), k
+
 
 class TestExactDivErrors:
     def test_inexact_division_raises(self):

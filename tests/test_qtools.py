@@ -20,6 +20,7 @@ from cycloknot.qtools import (
     qfactorial,
     qpochhammer,
     sigma,
+    sigma_at_color,
     sigma_at_root,
 )
 
@@ -53,6 +54,12 @@ class TestQIntegers:
     def test_qpochhammer(self):
         assert qpochhammer(0) == 1
         assert qpochhammer(2) == (qp({0: 1}) - qp({1: 1})) * (qp({0: 1}) - qp({2: 1}))
+        # labelled oracle for the dense build: the product of the factors
+        cycloknot.clear_caches()
+        expected = qp({0: 1})
+        for n in range(1, 41):
+            expected = expected * qp({0: 1, n: -1})
+            assert qpochhammer(n) == expected, n
 
 
 class TestQBinomial:
@@ -76,7 +83,8 @@ class TestQBinomial:
         assert qbinomial(4, 2) == table[(4, 2)]
 
     def test_pascal_equals_division_route(self):
-        for n in range(9):
+        # the dense Pascal build against the division oracle
+        for n in range(31):
             for k in range(-1, n + 2):
                 assert qbinomial(n, k) == qbinomial_by_division(n, k)
 
@@ -166,7 +174,7 @@ class TestProductOracle:
     @pytest.mark.parametrize("order", ["descending", "ascending"])
     def test_recursion_matches_from_scratch_product(self, name, order):
         library, oracle = _PRODUCT_ORACLES[name]
-        ns = range(12, -1, -1) if order == "descending" else range(13)
+        ns = range(20, -1, -1) if order == "descending" else range(21)
         cycloknot.clear_caches()
         for n in ns:
             assert library(n) == oracle(n), (name, n)
@@ -207,6 +215,16 @@ class TestSigma:
             s = sigma(m)
             assert s.max_exp2("x") == 2 * m
             assert s.coefficient((2 * m, 0)) == 1
+
+    def test_sigma_at_color_matches_the_product_of_its_factors(self):
+        # labelled oracle for the dense build: each entry as the LaurentPoly
+        # product of the factors q^N + q^-N - q^i - q^-i, i <= n
+        cycloknot.clear_caches()
+        for N in range(1, 13):
+            expected = [qp({0: 1})]
+            for n in range(1, N):
+                expected.append(expected[-1] * qp({N: 1, -N: 1, n: -1, -n: -1}))
+            assert sigma_at_color(N) == tuple(expected), N
 
     def test_sigma_at_own_root(self):
         for p in (2, 3, 5, 7):
