@@ -50,10 +50,12 @@ A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
 shift; such units are found through a memoized reverse index of the reduced
 powers of zeta.  Every other power, of either type, is the one
 square-and-multiply loop _power over the bits of n from the top: w**1 takes
-no product and w**4 two.  Other non-integer divisors of a CycNumber are
-solved by fraction-free (Bareiss) integer elimination; polynomial divisors
-of two or more terms, and so the cyclotomic tables, go through one packed
-kernel, _packed_div.
+no product and w**4 two.  Every other division, of either type, is made
+integral first: a non-integer divisor in Z[zeta_m] and the dividend are
+both multiplied by the divisor's other Galois conjugates, so the divisor
+becomes its norm.  A CycNumber then divides coordinate by coordinate, and
+polynomial divisors of two or more terms, and so the cyclotomic tables, go
+through one packed kernel, _packed_div.
 """
 
 from __future__ import annotations
@@ -188,37 +190,6 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def _solve_integral(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> Optional[list[int]]:
-    """The integer vector x with sum_j x[j] * cols[j] == rhs, or None.
-
-    Fraction-free (Bareiss) elimination keeps every entry an integer; the
-    back substitution then divides exactly, or returns None when the unique
-    rational solution is not integral.  The columns must be linearly
-    independent.
-    """
-    n = len(rhs)
-    a = [[col[i] for col in cols] + [rhs[i]] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = next(r for r in range(k, n) if a[r][k])
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        pk = top[k]
-        for r in range(k + 1, n):
-            row = a[r]
-            f = row[k]
-            a[r] = [0] * (k + 1) + [(pk * row[j] - f * top[j]) // prev for j in range(k + 1, n + 1)]
-        prev = pk
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        q, r = divmod(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
-        if r:
-            return None
-        x[i] = q
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +395,21 @@ class CycNumber(Frozen):
             raise ValueError("cyclotomic order mismatch")
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Z[zeta]")
-        if other.is_integer():
-            d = other.as_int()
-            return _cyc(self.order, tuple(_int_exact_div(a, d) for a in self.coeffs))
-        unit = self._unit_exponent(other)
-        if unit is not None:
-            k, sign = unit
-            return CycNumber.from_powers(
-                self.order, ((i - k, sign * c) for i, c in enumerate(self.coeffs))
-            )
-        # column j holds the coordinates of other * zeta**j
-        cols = [
-            CycNumber.from_powers(self.order, ((i + j, c) for i, c in enumerate(other.coeffs))).coeffs
-            for j in range(len(self.coeffs))
-        ]
-        quotient = _solve_integral(cols, self.coeffs)
-        if quotient is None:
-            raise InexactDivisionError(f"{self} is not divisible by {other}")
-        return _cyc(self.order, tuple(quotient))
+        num = self
+        if not other.is_integer():
+            unit = self._unit_exponent(other)
+            if unit is not None:
+                k, sign = unit
+                return CycNumber.from_powers(
+                    self.order, ((i - k, sign * c) for i, c in enumerate(self.coeffs))
+                )
+            # times the product of its other Galois conjugates, the divisor
+            # becomes its norm
+            conjugates = (other.galois(k) for k in range(2, self.order) if math.gcd(k, self.order) == 1)
+            cofactor = functools.reduce(operator.mul, conjugates)
+            num, other = self * cofactor, other * cofactor
+        d = other.as_int()
+        return _cyc(self.order, tuple(_int_exact_div(a, d) for a in num.coeffs))
 
     @staticmethod
     def _unit_exponent(u: "CycNumber") -> Optional[tuple[int, int]]:

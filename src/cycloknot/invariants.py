@@ -12,8 +12,9 @@ kernel of qtools: for a double twist knot, ADO, WRT and the CGP numerator
 are each sum_{m<p} a_m(e_p) K(m, p) (_habiro_sum, with K = sigma_at_root,
 wrt_kernel, cgp_kernel), and colored_jones sums a_n against sigma_at_color.
 The two chain multi-sums of T(2, 2t+1), the q-hypergeometric colored Jones
-and the ADO invariant, read the memoized columns of knots._chain_column: at
-generic q and over Z[zeta_p] respectively.  This module holds no cache.
+and the ADO invariant, run through the unmemoized level loop
+knots._chain_levels: at generic q, and in x over Z[zeta_p] (_ado_columns).
+This module holds no cache.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .exactring import (
     zeta,
 )
 from .knots import (
-    _TORUS_ADO,
     KnotSpec,
     Mirror,
     TorusTwoStrand,
-    _chain_column,
+    _chain_levels,
     _require_odd,
     a_at_root,
     habiro_a,
@@ -46,6 +46,7 @@ from .qtools import (
     _q,
     brace,
     cgp_kernel,
+    qbinomial,
     qbinomial_at_root,
     sigma_at_color,
     sigma_at_root,
@@ -82,11 +83,11 @@ def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
     poch = [_q(0)]
     for i in range(1, N):
         poch.append(poch[-1] * (_q(0) - _q(2 * (i - N))))
-    # the link weight q^(k(k+1)) x^(2k) at x = q^-N
-    link = (1, 1 - 2 * N, 0, 0)
+    # the link weight q^(k(k+1)) x^(2k) [n; k] at x = q^-N
+    columns = _chain_levels(t, [_q(0)] * N, lambda k, n: (2 * k * (k + 1 - 2 * N), qbinomial(n, k)))
     total = LaurentPoly.zero(("q",))
-    for kt in range(N):
-        total = total + _chain_column(link, None, t, kt) * poch[kt] * _q(-2 * N * kt)
+    for kt, column in enumerate(columns):
+        total = total + column * poch[kt] * _q(-2 * N * kt)
     return _q(2 * t * (1 - N)) * total
 
 
@@ -154,14 +155,25 @@ def _habiro_sum(
     return total
 
 
+def _ado_columns(t: int, p: int, tops: int) -> list[LaurentPoly]:
+    """[A(t, n) for n < tops]: the sums over the chains k_1 <= ... <= k_t = n
+    of the products of the ADO link weights x^(2k) zeta_p^(k(k+1)) [n; k]_{e_p},
+    polynomials in x over Z[zeta_p], the q-binomials taken at the root."""
+
+    def weight(k: int, n: int) -> Optional[tuple[int, CycNumber]]:
+        binom = qbinomial_at_root(n, k, p)
+        return (4 * k, binom.times_zeta(k * (k + 1))) if binom else None
+
+    return _chain_levels(t, [LaurentPoly.univar("x", {0: 1}, p)] * tops, weight)
+
+
 def _ado_torus(t: int, p: int) -> LaurentPoly:
     one = CycNumber.from_int(p, 1)
     poch = [LaurentPoly.univar("x", {0: one})]
     for i in range(1, p):
         poch.append(poch[-1] * LaurentPoly.univar("x", {0: one, 2: -zeta(p, i)}))
     total = LaurentPoly.zero(("x",), p)
-    for kt in range(p):
-        column = _chain_column(_TORUS_ADO, p, t, kt)
+    for kt, column in enumerate(_ado_columns(t, p, p)):
         total = total + column * poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
     return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
 

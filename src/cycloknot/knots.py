@@ -27,16 +27,17 @@ are the images under q -> 1/q.  No polynomial in q is multiplied on any of
 these routes.
 
 At q = e_p the sums keep memoized columns: the sums over the chains of a
-given length that end at a given value k.  One kernel, _chain_column, holds
-every column whose link weight is a monomial times a q-binomial: the twist
-columns that a_at_root reads and the torus ADO sum of invariants, over
-Z[zeta_p], and at generic q the hyper-Jones sum of invariants and the tests'
-labelled oracle for the integer route.  It is keyed by a link-weight
-descriptor and a ring.  A column depends neither on the index n nor on the
-twist parameters, so a_0, ..., a_N, and knots whose chains share a prefix,
-share one set of columns, and columns are filled from below, lowest level
-first, so chains of any length need no deep recursion.  The mirror torus sum
-keeps its own columns, _torus_column, keyed also by the prefix sum.
+given length that end at a given value k, each one element of Z[zeta_p].
+_chain_column holds the twist columns that a_at_root reads, keyed by a
+link-weight descriptor and the root order.  A column depends neither on the
+index n nor on the twist parameters, so a_0, ..., a_N, and knots whose
+chains share a prefix, share one set of columns, and columns are filled
+from below, lowest level first, so chains of any length need no deep
+recursion.  The mirror torus sum keeps its own columns, _torus_column,
+keyed also by the prefix sum.  The chain sums whose values are polynomials,
+the hyper-Jones and ADO sums of invariants and the tests' generic twist
+columns, run through one unmemoized level loop, _chain_levels, which keeps
+only the level below.
 
 a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the chain
 columns in the ring p, where each column entry is one element of Z[zeta_p]
@@ -176,70 +177,82 @@ def is_double_twist_family(knot: KnotSpec) -> bool:
 _ONE_TERMS = (((0,), 1),)
 
 
-def _shifted_sum(
-    terms: Iterable[tuple[int, object, LaurentPoly]], var: str = "q", order: Optional[int] = None
-) -> LaurentPoly:
-    """sum of var^(e/2) w f over the triples (e, w, f), in one dict.
+def _chain_levels(
+    length: int, column: list[LaurentPoly], weight: Callable[[int, int], Optional[tuple[int, object]]]
+) -> list[LaurentPoly]:
+    """[C(length, n) for n < len(column)]: C(1, n) = column[n] and
+    C(L, n) = sum_{k<=n} v^(e/2) w C(L-1, k) over (e, w) = weight(k, n),
+    with v the columns' variable, w a polynomial or a scalar, and None from
+    weight for a link that vanishes.
 
-    The weight w is a polynomial or a scalar.  Each term is added into one
-    accumulator and the result is normalized once, instead of building a
-    polynomial per partial sum; a polynomial factor equal to 1 costs no
-    product.
+    Unmemoized: levels go lowest first and only the level below is kept.
+    Each entry adds its terms into one dict and is normalized once; a
+    factor equal to 1 costs no product.
     """
-    acc: dict[int, object] = {}
-    for e, w, f in terms:
-        if not isinstance(w, LaurentPoly):
-            w = f * w
-        elif f.terms != _ONE_TERMS:
-            w = f if w.terms == _ONE_TERMS else w * f
-        for (x,), c in w.terms:
-            x += e
-            acc[x] = acc[x] + c if x in acc else c
-    return LaurentPoly((var,), tuple([((x,), c) for x, c in sorted(acc.items()) if c]), order)
+    variables, order = column[0].variables, column[0].order
+    for _ in range(length - 1):
+        below, column = column, []
+        for n in range(len(below)):
+            acc: dict[int, object] = {}
+            for k in range(n + 1):
+                if (link := weight(k, n)) is None:
+                    continue
+                e, w = link
+                f = below[k]
+                if not isinstance(w, LaurentPoly):
+                    w = f * w
+                elif f.terms != _ONE_TERMS:
+                    w = f if w.terms == _ONE_TERMS else w * f
+                for (x,), c in w.terms:
+                    x += e
+                    acc[x] = acc[x] + c if x in acc else c
+            terms = tuple([((x,), c) for x, c in sorted(acc.items()) if c])
+            column.append(LaurentPoly(variables, terms, order))
+    return column
 
 
-# Link weights w(k, n) = q^(a k^2 + b k + c k n) x^(d k) of the chain
-# columns, named by (a, b, c, d).  A descriptor is a tuple of ints, so a
-# column's memo key holds no function (the benchmark tracer rebinds those).
-_TWIST_PLUS = (1, 1, 0, 0)  # q^(k(k+1)): twist boxes of positive sign
-_TWIST_MINUS = (0, -1, -1, 0)  # q^(-k(n+1)): twist boxes of negative sign
-_TORUS_ADO = (1, 1, 0, 2)  # x^(2k) q^(k(k+1)) at q = e_p: ADO of T(2, 2t+1)
+def _link_sum(p: int, terms: Iterable[tuple[int, CycNumber, CycNumber]]) -> CycNumber:
+    """sum of zeta_p^(e/2) w f over the triples (e, w, f), with every power of
+    zeta added into one vector and reduced once."""
+    return CycNumber.from_powers(
+        p, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
+    )
+
+
+# Link weights w(k, n) = q^(a k^2 + b k + c k n) of the twist columns, named
+# by (a, b, c).  A descriptor is a tuple of ints, so a column's memo key
+# holds no function (the benchmark tracer rebinds those).
+_TWIST_PLUS = (1, 1, 0)  # q^(k(k+1)): twist boxes of positive sign
+_TWIST_MINUS = (0, -1, -1)  # q^(-k(n+1)): twist boxes of negative sign
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_column(
-    link: tuple[int, int, int, int], ring: Optional[int], length: int, n: int
-) -> LaurentPoly:
-    """C(length, n) = sum_{k<=n} w(k, n) [n; k] C(length-1, k), C(1, n) = 1.
+def _chain_column(link: tuple[int, int, int], p: int, length: int, n: int) -> CycNumber:
+    """C(length, n) = sum_{k<=n} w(k, n) [n; k] C(length-1, k) at q = e_p,
+    C(1, n) = 1: one element of Z[zeta_p].
 
     This is the sum over the chains k_1 <= ... <= k_length = n of the
     products of the link weights w(k_i, k_{i+1}) [k_{i+1}; k_i], with w
-    named by the descriptor link = (a, b, c, d).  With ring p it is a
-    polynomial in x over Z[zeta_p], at q = e_p, with the q-binomials taken at
-    the root (their zeros skipped): a_at_root reads the twist columns, and
-    the ADO invariant the torus ones.  With ring None it is a polynomial in q
-    (d must be 0), read by the hyper-Jones sum; habiro_a reads no generic
-    column, and the tests keep the generic twist columns as the labelled
-    oracle of its integer route.  A column does not depend on any bound on
-    the chain, so every top n, and every sum over a range of tops, shares it.
+    named by the descriptor link = (a, b, c) and the q-binomials taken at
+    the root (their zeros skipped); a_at_root reads the twist columns.  A
+    column does not depend on any bound on the chain, so every top n shares
+    it.
     """
-    a, b, c, d = link
     if length == 1:
-        return _q(0) if ring is None else LaurentPoly.univar("x", {0: 1}, ring)
+        return CycNumber.from_int(p, 1)
+    a, b, c = link
     # Every 64th level is filled, so a cold column recurses through fewer
     # than 64 levels, and the fill that each new column starts with costs
     # length/64 lookups per key rather than length.
-    _fill_below(functools.partial(_chain_column, link, ring), length, lambda i: range(n + 1), 64)
-
-    def terms():
-        for k in range(n + 1):
-            e = k * (a * k + b + c * n)
-            if ring is None:
-                yield 2 * e, qbinomial(n, k), _chain_column(link, ring, length - 1, k)
-            elif binom := qbinomial_at_root(n, k, ring):
-                yield 2 * d * k, binom.times_zeta(e), _chain_column(link, ring, length - 1, k)
-
-    return _shifted_sum(terms(), "q" if ring is None else "x", ring)
+    _fill_below(functools.partial(_chain_column, link, p), length, lambda i: range(n + 1), 64)
+    return _link_sum(
+        p,
+        (
+            (2 * k * (a * k + b + c * n), binom, _chain_column(link, p, length - 1, k))
+            for k in range(n + 1)
+            if (binom := qbinomial_at_root(n, k, p))
+        ),
+    )
 
 
 def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int]:
@@ -382,14 +395,6 @@ def _torus_links(
                 yield after, (2 * e, binom, value)
 
 
-def _link_sum(p: int, terms: Iterable[tuple[int, CycNumber, CycNumber]]) -> CycNumber:
-    """sum of zeta_p^(e/2) w f over the triples (e, w, f), with every power of
-    zeta added into one vector and reduced once."""
-    return CycNumber.from_powers(
-        p, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _torus_column(p: int, i: int, k: int) -> dict[int, CycNumber]:
     """{P: T(i, k, P)}: the sum over chains 1 <= k_1 <= ... <= k_i = k with
@@ -439,20 +444,14 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
     return f.substitute("q", new_var="q", exp2=-2)
 
 
-def _twist_column(link: tuple[int, int, int, int], p: int, length: int, n: int) -> CycNumber:
-    """The twist column C(length, n) at q = e_p: a twist link carries no x,
-    so the column over Z[zeta_p] is a constant."""
-    return _chain_column(link, p, length, n).coefficient((0,))
-
-
 def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
     """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the
     product of _double_twist_c, with P and M the twist columns at q = e_p."""
-    plus = _twist_column(_TWIST_PLUS, p, knot.m, n)
+    plus = _chain_column(_TWIST_PLUS, p, knot.m, n)
     if knot.l > 0:
         sign = -1 if n % 2 else 1
-        return (_twist_column(_TWIST_PLUS, p, knot.l, n) * plus).times_zeta(n * (n + 3) // 2) * sign
-    return plus * _twist_column(_TWIST_MINUS, p, -knot.l, n)
+        return (_chain_column(_TWIST_PLUS, p, knot.l, n) * plus).times_zeta(n * (n + 3) // 2) * sign
+    return plus * _chain_column(_TWIST_MINUS, p, -knot.l, n)
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_root, exact_div, zeta
 from .invariants import (
     InvariantReport,
+    _ado_columns,
     _report,
     ado,
     ado_conjectural,
@@ -38,9 +39,7 @@ from .invariants import (
     wrt_zero_closed,
 )
 from .knots import (
-    _TORUS_ADO,
     KnotSpec,
-    _chain_column,
     a_at_one,
     a_at_root,
     a_minus_one_closed,
@@ -366,11 +365,10 @@ def _qbinom_multisum_cap(p: int) -> Iterator[InvariantReport]:
     def geom(t):
         return LaurentPoly.univar("x", {4 * p * j: CycNumber.from_int(p, 1) for j in range(t)})
 
-    pairs = (
-        (_chain_column(_TORUS_ADO, p, t, p + m), geom(t) * _chain_column(_TORUS_ADO, p, t, m))
-        for t in (2, 3)
-        for m in range(p)
-    )
+    pairs = []
+    for t in (2, 3):
+        columns = _ado_columns(t, p, 2 * p)
+        pairs += [(columns[p + m], geom(t) * columns[m]) for m in range(p)]
     yield _agree("qbinom-multisum-cap", {"p": p, "t_max": 3}, pairs)
 
 

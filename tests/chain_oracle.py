@@ -1,8 +1,10 @@
 """Independent enumeration oracle for the chain multi-sums.
 
 The library evaluates every nondecreasing-chain multi-sum through memoized
-columns (knots._chain_column, and knots._torus_column for the mirror torus
-sum at a root of unity), or at one integer point (the double twist and
+columns at a root of unity (knots._chain_column for the twist sums and
+knots._torus_column for the mirror torus sum), through the unmemoized level
+loop knots._chain_levels (the hyper-Jones and ADO sums, and the tests'
+generic twist columns), or at one integer point (the double twist and
 mirror torus sums at generic q, knots._twist_chain_values and
 knots._torus_chain_value).  This module keeps the direct route:
 list every chain with itertools.combinations_with_replacement and add up the

@@ -289,7 +289,7 @@ class TestCycDivisionAndHash:
             return
         assert (a * b).exact_div(b) == a
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 31])
     def test_non_unit_exact_quotient(self, p):
         # {1}^2 = (q^(1/2) - q^(-1/2))^2 at q = zeta_p lives in Z[zeta_2p]
         brace_sq = (zeta(2 * p) - zeta(2 * p, -1)) ** 2

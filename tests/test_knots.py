@@ -108,16 +108,26 @@ def _double_twist_a_oracle(l: int, m: int, n: int, mirrored: bool) -> LaurentPol
     return a.substitute("q", new_var="q", exp2=-2) if mirrored else a
 
 
+def _generic_columns(link: tuple[int, int, int], length: int, top: int) -> list[LaurentPoly]:
+    """Labelled oracle of habiro_a's integer route: the generic twist columns
+    [C(length, n) for n <= top] of the link weight q^(a k^2 + b k + c k n) [n; k]
+    named by the descriptor link = (a, b, c), from knots._chain_levels."""
+    a, b, c = link
+    return knots._chain_levels(
+        length, [qp({0: 1})] * (top + 1), lambda k, n: (2 * k * (a * k + b + c * n), qbinomial(n, k))
+    )
+
+
 # Each library multi-sum next to its chain-by-chain oracle, on the grid it is
 # compared over: (library call, oracle call, parameter tuples).
 _TRANSFER_SITES = {
     "chain_sum_plus": (
-        lambda length, n: knots._chain_column(knots._TWIST_PLUS, None, length, n),
+        lambda length, n: _generic_columns(knots._TWIST_PLUS, length, n)[n],
         chain_oracle.chain_sum_plus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
     "chain_sum_minus": (
-        lambda length, n: knots._chain_column(knots._TWIST_MINUS, None, length, n),
+        lambda length, n: _generic_columns(knots._TWIST_MINUS, length, n)[n],
         chain_oracle.chain_sum_minus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
@@ -153,7 +163,7 @@ _TRANSFER_SITES = {
         [(t, p) for t in range(1, 4) for p in range(1, 8)],
     ),
     "andrews_side": (
-        lambda t, p, top: knots._chain_column(knots._TORUS_ADO, p, t, top),
+        lambda t, p, top: invariants._ado_columns(t, p, 2 * p)[top],
         chain_oracle.andrews_side,
         [(t, p, top) for t in range(1, 4) for p in range(1, 6) for top in range(2 * p)],
     ),
@@ -169,13 +179,13 @@ def test_transfer_kernel_matches_enumeration(site):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_column_at_root_is_the_generic_column_at_the_root(p):
-    # the twist columns over Z[zeta_p] are constant in x and equal the
-    # generic columns evaluated at e_p, so a_n(e_p) can be read from them
+    # the twist columns over Z[zeta_p] equal the generic columns evaluated
+    # at e_p, so a_n(e_p) can be read from them
     for link in (knots._TWIST_PLUS, knots._TWIST_MINUS):
         for length in range(1, 6):
+            generic = _generic_columns(link, length, 2 * p - 1)
             for n in range(2 * p):
-                generic = eval_at_root(knots._chain_column(link, None, length, n), p)
-                expected = LaurentPoly.univar("x", {0: generic}, p)
+                expected = eval_at_root(generic[n], p)
                 assert knots._chain_column(link, p, length, n) == expected, (link, length, n)
 
 
@@ -219,13 +229,13 @@ def test_torus_at_large_t_is_the_root_route_at_the_root():
 
 def _column_product_a(knot: DoubleTwist, n: int) -> LaurentPoly:
     """Labelled oracle for habiro_a on a double twist knot: a_n as the
-    product of the generic twist columns of knots._chain_column, the
+    product of the generic twist columns of _generic_columns, the
     polynomial route that the integer route replaced."""
     sign = -1 if n % 2 else 1
-    plus = knots._chain_column(knots._TWIST_PLUS, None, knot.m, n)
+    plus = _generic_columns(knots._TWIST_PLUS, knot.m, n)[n]
     if knot.l > 0:
-        return qp({n * (n + 3) // 2: sign}) * knots._chain_column(knots._TWIST_PLUS, None, knot.l, n) * plus
-    return plus * knots._chain_column(knots._TWIST_MINUS, None, -knot.l, n)
+        return qp({n * (n + 3) // 2: sign}) * _generic_columns(knots._TWIST_PLUS, knot.l, n)[n] * plus
+    return plus * _generic_columns(knots._TWIST_MINUS, -knot.l, n)[n]
 
 
 @pytest.mark.parametrize("spec", ["dt:2,2", "dt:-2,3"])
@@ -270,8 +280,8 @@ def test_a_at_root_matches_the_generic_route_oracle(p):
 
 
 def test_a_at_root_builds_no_generic_coefficient(monkeypatch):
-    # the at-root route reads only Z[zeta_p] columns: no habiro_a entry and no
-    # column call with the generic ring None
+    # the at-root route reads only Z[zeta_p] columns of the order asked for,
+    # and makes no habiro_a entry
     cycloknot.clear_caches()
     rings = []
 
@@ -318,13 +328,12 @@ class TestSharedColumns:
     def test_chains_deeper_than_the_recursion_limit(self):
         length = 1100
         assert length > sys.getrecursionlimit()
-        plus = knots._chain_column(knots._TWIST_PLUS, None, length, 1)
-        minus = knots._chain_column(knots._TWIST_MINUS, None, length, 1)
+        plus = _generic_columns(knots._TWIST_PLUS, length, 1)[1]
+        minus = _generic_columns(knots._TWIST_MINUS, length, 1)[1]
         assert plus == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
         assert minus == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
         at_root = knots._chain_column(knots._TWIST_PLUS, 3, length, 1)
-        total = CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
-        assert at_root == LaurentPoly.univar("x", {0: total}, 3)
+        assert at_root == CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
         for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
             assert habiro_a(parse_knot(spec), 0) == 1, spec
 
