@@ -1146,7 +1146,9 @@ class LaurentPoly(Frozen):
             terms = [[list(exps), c] for exps, c in self.terms]
         else:
             terms = [[list(exps), c.to_json_obj()] for exps, c in self.terms]
-        return {"vars": list(self.variables), "den": 2, "terms": terms}
+        # only a zero polynomial writes its order: the coefficients carry it otherwise
+        order = {"order": self.order} if not terms and self.order is not None else {}
+        return {"vars": list(self.variables), "den": 2, "terms": terms, **order}
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "LaurentPoly":
@@ -1156,7 +1158,7 @@ class LaurentPoly(Frozen):
         for exps, c in obj["terms"]:
             coeff: Coeff = int(c) if isinstance(c, int) else CycNumber.from_json_obj(c)
             terms[tuple(int(e) for e in exps)] = coeff
-        return LaurentPoly.make(tuple(obj["vars"]), terms)
+        return LaurentPoly.make(tuple(obj["vars"]), terms, obj.get("order"))
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,8 @@ def colored_jones(knot: KnotSpec, N: int) -> LaurentPoly:
     The sum truncates at n = N-1 because sigma_n(q^N, q) vanishes beyond it;
     the products are the knot-free sigma_at_color(N).
     """
-    total = LaurentPoly.zero(("q",))
-    for n, sig in enumerate(sigma_at_color(N)):
-        total = total + habiro_a(knot, n) * sig
-    return total
+    terms = (habiro_a(knot, n) * sig for n, sig in enumerate(sigma_at_color(N)))
+    return sum(terms, LaurentPoly.zero(("q",)))
 
 
 def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
@@ -76,18 +74,16 @@ def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
 
     (qx)^t sum_{k_t >= ... >= k_1 >= 0} (qx; q)_{k_t} x^{k_t}
     prod_{i<t} q^(k_i(k_i+1)) x^(2 k_i) [k_{i+1}; k_i]  at x = q^-N;
-    the leading Pochhammer vanishes for k_t >= N, so the sum is finite.
+    the leading Pochhammer vanishes for k_t >= N, so the sum is finite.  It
+    runs in Horner form over k_t, as _ado_torus does.
     """
     if t < 1 or N < 1:
         raise ValueError(f"need t >= 1 and N >= 1, got t={t}, N={N}")
-    poch = [_q(0)]
-    for i in range(1, N):
-        poch.append(poch[-1] * (_q(0) - _q(2 * (i - N))))
     # the link weight q^(k(k+1)) x^(2k) [n; k] at x = q^-N
     columns = _chain_levels(t, [_q(0)] * N, lambda k, n: (2 * k * (k + 1 - 2 * N), qbinomial(n, k)))
-    total = LaurentPoly.zero(("q",))
-    for kt, column in enumerate(columns):
-        total = total + column * poch[kt] * _q(-2 * N * kt)
+    total = columns[-1]
+    for k in range(N - 2, -1, -1):
+        total = columns[k] + total * (_q(-2 * N) - _q(2 * (k + 1 - 2 * N)))
     return _q(2 * t * (1 - N)) * total
 
 
@@ -149,10 +145,7 @@ def _habiro_sum(
     kernel: Callable, knot: KnotSpec, p: int, zero: Union[CycNumber, LaurentPoly]
 ) -> Union[CycNumber, LaurentPoly]:
     """sum_{m<p} kernel(m, p) a_m(e_p), in the ring of zero (a_m embedded there)."""
-    total = zero
-    for m in range(p):
-        total = total + kernel(m, p) * a_at_root(knot, m, p).embed(zero.order)
-    return total
+    return sum((kernel(m, p) * a_at_root(knot, m, p).embed(zero.order) for m in range(p)), zero)
 
 
 def _ado_columns(t: int, p: int, tops: int) -> list[LaurentPoly]:
@@ -168,13 +161,12 @@ def _ado_columns(t: int, p: int, tops: int) -> list[LaurentPoly]:
 
 
 def _ado_torus(t: int, p: int) -> LaurentPoly:
-    one = CycNumber.from_int(p, 1)
-    poch = [LaurentPoly.univar("x", {0: one})]
-    for i in range(1, p):
-        poch.append(poch[-1] * LaurentPoly.univar("x", {0: one, 2: -zeta(p, i)}))
-    total = LaurentPoly.zero(("x",), p)
-    for kt, column in enumerate(_ado_columns(t, p, p)):
-        total = total + column * poch[kt] * LaurentPoly.univar("x", {2 * kt: one})
+    """x^(t(1-p)) zeta_p^t sum_{k<p} A(t, k) x^k (x; zeta_p)_k, in Horner form: H = A(t, p-1),
+    then H <- A(t, k) + x (1 - zeta_p^(k+1) x) H for k = p-2 down to 0."""
+    columns = _ado_columns(t, p, p)
+    total = columns[-1]
+    for k in range(p - 2, -1, -1):
+        total = columns[k] + total * LaurentPoly.univar("x", {2: 1, 4: -zeta(p, k + 1)}, p)
     return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
 
 
@@ -243,22 +235,17 @@ def wrt_zero_closed(knot: KnotSpec, p: int) -> CycNumber:
     _require_odd(p)
     if not is_double_twist_family(knot):
         raise ValueError("the closed form covers double twist knots")
-    total = CycNumber.zero(p)
-    for m in range((p - 1) // 2):
-        sign = -1 if m % 2 else 1
-        total = total + (
-            a_at_root(knot, m, p)
-            * qbinomial_at_root(2 * m + 1, m, p)
-            * zeta(p, -(m * (m + 1)) // 2)
-            * sign
-        )
-    return (total * (-2 * p)).embed(2 * p)
+    terms = (
+        a_at_root(knot, m, p) * qbinomial_at_root(2 * m + 1, m, p)
+        * zeta(p, -(m * (m + 1)) // 2) * (-1) ** m
+        for m in range((p - 1) // 2)
+    )
+    return (sum(terms, CycNumber.zero(p)) * (-2 * p)).embed(2 * p)
 
 
 def brace_one_squared(p: int) -> CycNumber:
     """{1}^2 = (zeta_2p - zeta_2p^-1)^2, the usual WRT normalization factor."""
-    b = brace(1, p)
-    return b * b
+    return brace(1, p) ** 2
 
 
 def normalized_wrt(value: CycNumber, p: int) -> tuple[CycNumber, Optional[CycNumber]]:
@@ -408,8 +395,9 @@ def verify_thm3(knot: KnotSpec, p: int, exploratory: bool = False) -> InvariantR
     """
     _require_odd(p)
     if is_double_twist_family(knot):
+        # the closed form keeps the WRT side off the kernels' exponent filter
         num = cgp_zero(knot, p).numerator
-        wrt = wrt_zero(knot, p)
+        wrt = wrt_zero_closed(knot, p)
     else:
         num = cgp_from_ado(knot, p).numerator
         wrt = wrt_torus_direct(_torus_t(knot), p)

@@ -20,8 +20,10 @@ term of their 2- or 4-term factor (_extend).
 The knot-free kernels of the invariants are memoized here, once for all
 knots, all in the sigma basis: for a double twist knot, ADO, WRT and the CGP
 numerator are sum_{m<p} a_m(e_p) times sigma_at_root, wrt_kernel and
-cgp_kernel of (m, p), and J_K(q^N, q) = sum_n a_n sigma_at_color(N)[n] for
-every knot.
+cgp_kernel of (m, p), and J_K(q^N, q) = sum_n a_n sigma_at_color(N)[n].  WRT
+and CGP sum over the odd powers j of zeta_p, and sum_j zeta_p^(j a) is p if
+p | a, else 0: each kernel keeps the x-exponents 0, +-1 mod p, times p, the
+factor p of the paper's CGP = WRT/{p lambda}^2 + p a_{p-1}(e_p).
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
-from .exactring import CycNumber, LaurentPoly, eval_at_root, zeta
+from .exactring import Coeff, CycNumber, LaurentPoly, eval_at_root, zeta
 
 
 def _q(e2: int, c: int = 1) -> LaurentPoly:
@@ -248,14 +250,24 @@ def sigma_at_color(N: int) -> tuple[LaurentPoly, ...]:
     return tuple(sigmas)
 
 
+def _character_filter(f: LaurentPoly, p: int) -> Iterator[tuple[int, Coeff]]:
+    """(e + s, w f_e) for the terms f_e x^e of f and s, w in (1, p), (0, -2p), (-1, p)
+    with p | e + s, tested independently: what the odd j < 2p leave of
+    sum_j (zeta_p^j - 2 + zeta_p^-j) f_e zeta_p^(j e)."""
+    for (k,), c in f.terms:
+        if k % 2:
+            raise ValueError(f"half-integer exponent {k}/2 of 'x' has no value at a root of unity")
+        for s, w in ((1, p), (0, -2 * p), (-1, p)):
+            if (k // 2 + s) % p == 0:
+                yield k // 2 + s, c * w
+
+
 @functools.lru_cache(maxsize=None)
 def wrt_kernel(m: int, p: int) -> CycNumber:
-    """sum_{0<n<2p odd} (zeta_2p^n - zeta_2p^-n)^2 sigma_m(zeta_p^-n, e_p) in Z[zeta_2p]."""
-    total = CycNumber.zero(2 * p)
-    for n in range(1, 2 * p, 2):
-        br = brace(n, p)
-        total = total + br * br * eval_at_root(sigma_at_root(m, p), p, -n, order=2 * p)
-    return total
+    """sum_{0<n<2p odd} (zeta_2p^n - zeta_2p^-n)^2 sigma_m(zeta_p^-n, e_p) in Z[zeta_2p]:
+    p sum_e sigma_{m,e} ([e = 1] - 2 [e = 0] + [e = -1]), e mod p, summed in Z[zeta_p]."""
+    terms = (c for _, c in _character_filter(sigma_at_root(m, p), p))
+    return sum(terms, CycNumber.zero(p)).embed(2 * p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,15 +277,10 @@ def cgp_kernel(m: int, p: int) -> LaurentPoly:
 
 
 def _cgp_operator(f: LaurentPoly, p: int) -> LaurentPoly:
-    """sum_{n<p} {lambda+2n+1}^2 f(zeta_p^(2n+1) u^2) over Z[zeta_2p], for f in x,
-    with e_p^(lambda+2n+1) realized as zeta_p^(2n+1) u^2."""
-    f = f.with_order(2 * p)
-    total = LaurentPoly.zero(("u",), 2 * p)
-    for n in range(p):
-        b = brace(2 * n + 1, p, lam_coeff=1)
-        at_point = f.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
-        total = total + b * b * at_point
-    return total
+    """sum_{n<p} {lambda+2n+1}^2 f(zeta_p^(2n+1) u^2) over Z[zeta_2p], for f in x, as the
+    filter p sum_e f_e ([e = -1] u^(2e+2) - 2 [e = 0] u^(2e) + [e = 1] u^(2e-2)), e mod p."""
+    terms = (((4 * a,), c) for a, c in _character_filter(f, p))
+    return LaurentPoly.make(("u",), terms, f.order).with_order(2 * p)
 
 
 def brace(j: int, p: int, lam_coeff: int = 0, var: str = "u"):

@@ -20,7 +20,7 @@ import math
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_root, exact_div, zeta
+from .exactring import CycNumber, InexactDivisionError, LaurentPoly, eval_at_root, exact_div
 from .invariants import (
     InvariantReport,
     _ado_columns,
@@ -64,7 +64,6 @@ from .qtools import (
     qbinomial_balanced,
     sigma,
     sigma_at_root,
-    wrt_kernel,
 )
 
 FIVE_KNOTS: tuple[KnotSpec, ...] = (
@@ -226,10 +225,18 @@ def _wrt_two_routes(K: KnotSpec, p: int) -> Iterator[InvariantReport]:
         yield _report("wrt-p3-value", params, ok, direct, CycNumber.from_int(6, -6))
 
 
+def _odd_point_sum(value_at: Callable[[int], CycNumber], p: int) -> CycNumber:
+    """sum over the odd n < 2p of {n}^2 value_at(n), point by point: the WRT sum as defined."""
+    terms = (brace(n, p) ** 2 * value_at(n) for n in range(1, 2 * p, 2))
+    return sum(terms, CycNumber.zero(2 * p))
+
+
 def _wrt_middle_vanishing(p: int) -> Iterator[InvariantReport]:
-    # a_m(e_p) for (p-1)/2 <= m < p-1 has weight 0 in the WRT invariant
-    zero = CycNumber.zero(2 * p)
-    pairs = ((wrt_kernel(m, p), zero) for m in range((p - 1) // 2, p - 1))
+    # a_m(e_p) for (p-1)/2 <= m < p-1 has weight 0 in the WRT invariant; the
+    # kernels are summed point by point, a labelled oracle for wrt_kernel's filter
+    ms = range((p - 1) // 2, p - 1)
+    kernels = (partial(eval_at_root, sigma_at_root(m, p), p, order=2 * p) for m in ms)
+    pairs = ((_odd_point_sum(at, p), CycNumber.zero(2 * p)) for at in kernels)
     yield _agree("wrt-middle-vanishing", {"p": p}, pairs)
 
 
@@ -249,10 +256,7 @@ def _torus_T(t: int, p: int) -> Iterator[InvariantReport]:
     wrt = wrt_torus_direct(t, p)
     at_one = res.numerator.evaluate({"u": 1})
     yield _report("torus-doublesum-at-1", params, at_one == wrt * 2, at_one, wrt * 2)
-    total = CycNumber.zero(2 * p)
-    for n in range(1, 2 * p, 2):
-        br = brace(n, p)
-        total = total + br * br * eval_at_root(colored_jones_hyper_t2(t, n), p, 1, order=2 * p)
+    total = _odd_point_sum(lambda n: eval_at_root(colored_jones_hyper_t2(t, n), p, 1, order=2 * p), p)
     yield _report("torus-wrt-definition", params, wrt == total, wrt, total)
     lhs = cgp_from_ado(torus_two_strand(t), p).numerator * LaurentPoly.univar("u", {0: 1, -4 * p: 1})
     rhs = res.numerator * LaurentPoly.univar("u", {4 * (p - 1) * t: 1})
@@ -387,10 +391,8 @@ def _root_of_unity_checks(p: int) -> Iterator[InvariantReport]:
     yield _report("bracket-monic", {"p": p}, ok)
 
     def power_sum(a):
-        total = LaurentPoly.zero(("u",), 2 * p)
-        for n in range(p):
-            total = total + LaurentPoly.univar("u", {4 * a: zeta(p, (2 * n + 1) * a).embed(2 * p)})
-        return total
+        value = CycNumber.from_powers(p, (((2 * n + 1) * a, 1) for n in range(p)))
+        return LaurentPoly.univar("u", {4 * a: value.embed(2 * p)}, 2 * p)
 
     def expected(a):
         if a == 0:

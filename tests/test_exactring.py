@@ -444,6 +444,15 @@ class TestLaurentPoly:
         blob2 = json.dumps(h.to_json_obj())
         assert LaurentPoly.from_json_obj(json.loads(blob2)) == h
 
+    @pytest.mark.parametrize("order", (None, 1, 7, 12))
+    def test_serialization_keeps_the_order_of_zero_and_nonzero(self, order):
+        for f in (LaurentPoly.zero(("x",), order), LaurentPoly.univar("x", {2: 3, -1: -1}, order)):
+            g = LaurentPoly.from_json_obj(json.loads(json.dumps(f.to_json_obj())))
+            assert g == f and g.order == f.order and g.to_json_obj() == f.to_json_obj()
+        # only a zero polynomial writes its order; a nonzero one reads it off its coefficients
+        assert "order" not in LaurentPoly.zero(("x",)).to_json_obj()
+        assert "order" not in LaurentPoly.univar("x", {2: 3}, order).to_json_obj()
+
     def test_serialized_terms_sorted(self):
         f = LaurentPoly.make(("x", "q"), {(2, 0): 1, (-2, 4): 2, (2, -2): 3})
         exps = [tuple(e) for e, _ in f.to_json_obj()["terms"]]

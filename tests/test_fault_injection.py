@@ -43,7 +43,7 @@ MUTATIONS = {
     "habiro-goldens": (verify, "habiro_a", _times_q),
     "thm1-trunc": (verify, "alexander", _negated),
     "thm2": (verify, "a_at_one", _plus_one),
-    "thm3": (invariants, "wrt_zero", _plus_one),
+    "thm3": (invariants, "wrt_zero_closed", _plus_one),
     "thm4-vs-conj": (invariants, "_ado_torus", _negated),
     "wrt-consistency": (verify, "wrt_zero_closed", _plus_one),
     "torus-T": (verify, "wrt_torus_direct", _zeta_shift),

@@ -14,6 +14,8 @@ from cycloknot.exactring import (
 )
 from cycloknot.invariants import (
     MixedResidueError,
+    _ado_columns,
+    _ado_torus,
     ado,
     ado_conjectural,
     cgp_from_ado,
@@ -73,6 +75,27 @@ def alex_minus_x(K):
     return alexander(K).substitute("x", coeff=-1, new_var="x", exp2=2)
 
 
+# Labelled oracles: the odd-point sums that the knot-free kernels ran before
+# they became exponent filters of the x-exponents mod p.
+def wrt_kernel_oracle(m, p):
+    """sum_{n<p} {2n+1}^2 sigma_m(zeta_p^(2n+1), e_p), one point at a time."""
+    total = CycNumber.zero(2 * p)
+    for n in range(p):
+        br = brace(2 * n + 1, p)
+        total = total + br * br * sigma_at_root(m, p).evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
+    return total
+
+
+def cgp_kernel_oracle(m, p):
+    """sum_{n<p} {lambda+2n+1}^2 sigma_m(zeta_p^(2n+1) u^2, e_p), one substitution per point."""
+    sig = sigma_at_root(m, p).with_order(2 * p)
+    total = LaurentPoly.zero(("u",), 2 * p)
+    for n in range(p):
+        b = brace(2 * n + 1, p, lam_coeff=1)
+        total = total + b * b * sig.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
+    return total
+
+
 # Labelled oracles: the per-knot loops that wrt_zero, cgp_zero and
 # colored_jones ran before they became weighted sums over the knot-free
 # kernels of qtools.  They take ADO (or sigma, or the Pochhammer pairs) at
@@ -91,13 +114,7 @@ def cgp_zero_oracle(K, p):
     """sum_m a_m(e_p) sum_n {lambda+2n+1}^2 sigma_m(zeta_p^(2n+1) u^2, e_p), per knot."""
     total = LaurentPoly.zero(("u",), 2 * p)
     for m in range(p):
-        sig = sigma_at_root(m, p).with_order(2 * p)
-        inner = LaurentPoly.zero(("u",), 2 * p)
-        for n in range(p):
-            b = brace(2 * n + 1, p, lam_coeff=1)
-            point = sig.substitute("x", coeff=zeta(2 * p, 2 * (2 * n + 1)), new_var="u", exp2=4)
-            inner = inner + b * b * point
-        total = total + inner * a_at_root(K, m, p).embed(2 * p)
+        total = total + cgp_kernel_oracle(m, p) * a_at_root(K, m, p).embed(2 * p)
     return total
 
 
@@ -148,6 +165,21 @@ def cgp_torus_direct_oracle(t, p):
             inner = inner + first * second * a
         total = total + pref * inner
     return total
+
+
+# Labelled oracle: the torus ADO sum with its Pochhammer products in full,
+# as it ran before the Horner form.
+def ado_torus_oracle(t, p):
+    """x^(t(1-p)) zeta_p^t sum_{k<p} A(t, k) x^k (x; zeta_p)_k with every
+    Pochhammer product (x; zeta_p)_k built in full."""
+    one = CycNumber.from_int(p, 1)
+    poch = [LaurentPoly.univar("x", {0: one})]
+    for i in range(1, p):
+        poch.append(poch[-1] * LaurentPoly.univar("x", {0: one, 2: -zeta(p, i)}))
+    total = LaurentPoly.zero(("x",), p)
+    for k, column in enumerate(_ado_columns(t, p, p)):
+        total = total + column * poch[k] * LaurentPoly.univar("x", {2 * k: one})
+    return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
 
 
 def ado_conjectural_oracle(s, t, p):
@@ -251,6 +283,11 @@ class TestAdo:
             assert ado(K, p).poly == total, (K, p)
 
 
+@pytest.mark.parametrize("t, p", [(1, 3), (2, 5), (3, 7), (4, 11), (3, 13)])
+def test_horner_torus_ado_matches_the_product_form(t, p):
+    assert _ado_torus(t, p) == ado_torus_oracle(t, p)
+
+
 class TestAdoConjectural:
     def test_chi_support(self):
         support = {l: chi_st(2, 3, l) for l in range(12) if chi_st(2, 3, l)}
@@ -299,12 +336,7 @@ class TestWrt:
     def test_middle_coefficients_vanish(self):
         for p in (3, 5, 7):
             for m in range((p - 1) // 2, p - 1):
-                total = CycNumber.zero(2 * p)
-                sig = sigma_at_root(m, p)
-                for n in range(p):
-                    br = zeta(2 * p, 2 * n + 1) - zeta(2 * p, -(2 * n + 1))
-                    total = total + br * br * sig.evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
-                assert total.is_zero()
+                assert wrt_kernel_oracle(m, p).is_zero()
 
 
 class TestKnotFreeKernels:
@@ -320,16 +352,26 @@ class TestKnotFreeKernels:
             for n, sig in enumerate(sigmas):
                 assert sig == sigma(n).substitute("x", new_var="q", exp2=2 * N), (N, n)
 
-    @pytest.mark.parametrize("p", (3, 5, 7))
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
     def test_wrt_kernel_is_the_sum_over_the_odd_points(self, p):
         # the points zeta_p^-n, n odd in (0, 2p), are the zeta_p^(2n+1), n < p,
         # and the squared brace depends only on the point up to inversion
         for m in range(p):
-            total = CycNumber.zero(2 * p)
-            for n in range(p):
-                br = brace(2 * n + 1, p)
-                total = total + br * br * sigma_at_root(m, p).evaluate({"x": zeta(p, 2 * n + 1)}).embed(2 * p)
-            assert wrt_kernel(m, p) == total, (m, p)
+            assert wrt_kernel(m, p) == wrt_kernel_oracle(m, p), (m, p)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_cgp_kernel_is_the_sum_over_the_odd_points(self, p):
+        for m in range(p):
+            assert cgp_kernel(m, p) == cgp_kernel_oracle(m, p), (m, p)
+
+    @pytest.mark.parametrize("p", (1, 3, 5, 7, 9, 11, 13))
+    def test_theorem_3_is_one_kernel_identity_per_p(self, p):
+        # |e| <= m < p: below the top, only e = 0, +-1 survive, each at u^0;
+        # the top sigma_{p-1} adds p (u^2p + u^-2p - 2) through e = +-(p-1)
+        for m in range(p - 1):
+            assert cgp_kernel(m, p) == up({0: wrt_kernel(m, p)}, 2 * p), (m, p)
+        top = cgp_kernel(p - 1, p) - up({0: wrt_kernel(p - 1, p)}, 2 * p)
+        assert top == up({2 * p: p, -2 * p: p, 0: -2 * p}, 2 * p)
 
     def test_kernels_are_memoized_and_immutable(self):
         assert cgp_kernel(2, 5) is cgp_kernel(2, 5)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import cycloknot
 from cycloknot.exactring import LaurentPoly, eval_at_root, exact_div, zeta
 from cycloknot.qtools import (
+    _cgp_operator,
     brace,
     bracket_poly,
     pochhammer_pair,
@@ -313,6 +314,11 @@ class TestBraces:
                 w = LaurentPoly.univar("v", {4: 1, -4: 1})
                 rhs = (w - (zeta(p, i) + zeta(p, -i)).embed(2 * p)).with_order(2 * p)
                 assert lhs == rhs
+
+
+def test_cgp_operator_rejects_a_half_integer_exponent():
+    with pytest.raises(ValueError):
+        _cgp_operator(LaurentPoly.univar("x", {1: 1, 0: 1}, 5), 5)
 
 
 class TestBracketPoly:
