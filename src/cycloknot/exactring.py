@@ -403,10 +403,7 @@ class CycNumber(Frozen):
                 return CycNumber.from_powers(
                     self.order, ((i - k, sign * c) for i, c in enumerate(self.coeffs))
                 )
-            # times the product of its other Galois conjugates, the divisor
-            # becomes its norm
-            conjugates = (other.galois(k) for k in range(2, self.order) if math.gcd(k, self.order) == 1)
-            cofactor = functools.reduce(operator.mul, conjugates)
+            cofactor = _norm_cofactor(other)
             num, other = self * cofactor, other * cofactor
         d = other.as_int()
         return _cyc(self.order, tuple(_int_exact_div(a, d) for a in num.coeffs))
@@ -515,6 +512,15 @@ class CycNumber(Frozen):
     @staticmethod
     def from_json_obj(obj: Mapping) -> "CycNumber":
         return CycNumber(int(obj["order"]), tuple(int(c) for c in obj["coeffs"]))
+
+
+def _norm_cofactor(x: Union[CycNumber, LaurentPoly]) -> Union[CycNumber, LaurentPoly]:
+    """The product of the Galois conjugates zeta -> zeta**k of x other than x
+    itself, k a unit mod x.order: times it, x becomes its norm, which has
+    integer coefficients.  CycNumber.exact_div and exact_div divide by a
+    non-integral x through it."""
+    order = x.order
+    return functools.reduce(operator.mul, [x.galois(k) for k in range(2, order) if math.gcd(k, order) == 1])
 
 
 def _cyc(order: int, coeffs: tuple[int, ...]) -> CycNumber:
@@ -740,6 +746,9 @@ def _packed_div(cols: list[tuple[int, ...]], den: list[int]) -> list[tuple[int, 
             raise InexactDivisionError("nonzero remainder in polynomial division")
         try:
             digits = _digit_rows(value, span, count, width)
+            # A digit past the quotient's degree reads no quotient at this
+            # width, even after a zero remainder: x + zeta_3 over 1 + x packs
+            # to N(2**w) = D(2**w) 2**w, whose first block is (0, 1).
             rows = [row[:size] for row in digits if not any(row[size:])]
         except OverflowError:
             rows = []
@@ -1245,8 +1254,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         (((de,), d),) = den.terms
         return LaurentPoly.make(num.variables, {(e - de,): div(c, d) for (e,), c in num.terms}, order)
     if order is not None and not all(c.is_integer() for _, c in den.terms):
-        conjugates = [den.galois(k) for k in range(2, order) if math.gcd(k, order) == 1]
-        num, den = (functools.reduce(operator.mul, conjugates, f) for f in (num, den))
+        cofactor = _norm_cofactor(den)
+        num, den = num * cofactor, den * cofactor
     nexps, dexps = [e for (e,), _ in num.terms], [e for (e,), _ in den.terms]
     # the exponents step by the gcd of all offsets, and so do the quotient's
     step = math.gcd(*[e - nexps[0] for e in nexps], *[e - dexps[0] for e in dexps])

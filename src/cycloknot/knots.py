@@ -26,18 +26,18 @@ states (k, prefix).  The torus knots and the mirrors of double twist knots
 are the images under q -> 1/q.  No polynomial in q is multiplied on any of
 these routes.
 
-At q = e_p the sums keep memoized columns: the sums over the chains of a
-given length that end at a given value k, each one element of Z[zeta_p].
-_chain_column holds the twist columns that a_at_root reads, keyed by a
-link-weight descriptor and the root order.  A column depends neither on the
-index n nor on the twist parameters, so a_0, ..., a_N, and knots whose
-chains share a prefix, share one set of columns, and columns are filled
-from below, lowest level first, so chains of any length need no deep
-recursion.  The mirror torus sum keeps its own columns, _torus_column,
-keyed also by the prefix sum.  The chain sums whose values are polynomials,
-the hyper-Jones and ADO sums of invariants and the tests' generic twist
-columns, run through one unmemoized level loop, _chain_levels, which keeps
-only the level below.
+At q = e_p both sums keep memoized columns in one kernel, _chain_column:
+the sums over the chains of a given length that end at a given value k,
+one element of Z[zeta_p] per prefix sum, keyed by a link-rule descriptor
+and the root order.  A twist rule keeps every chain at prefix 0; the
+mirror torus rule, whose q-binomial reads the prefix sum, is the rule of
+the integer route.  A column depends neither on the index n nor on the
+knot's parameters, so a_0, ..., a_N, and knots whose chains share a
+prefix, share one set of columns, and columns are filled from below,
+lowest level first, so chains of any length need no deep recursion.  The
+chain sums whose values are polynomials, the hyper-Jones and ADO sums of
+invariants and the tests' generic twist columns, run through one
+unmemoized level loop, _chain_levels, which keeps only the level below.
 
 a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the chain
 columns in the ring p, where each column entry is one element of Z[zeta_p]
@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .exactring import CycNumber, Frozen, LaurentPoly, exact_div, nonnegative_digits, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
@@ -211,56 +211,63 @@ def _chain_levels(
     return column
 
 
-def _link_sum(p: int, terms: Iterable[tuple[int, CycNumber, CycNumber]]) -> CycNumber:
-    """sum of zeta_p^(e/2) w f over the triples (e, w, f), with every power of
-    zeta added into one vector and reduced once."""
-    return CycNumber.from_powers(
-        p, [(e // 2 + i, c) for e, w, f in terms for i, c in enumerate((w * f).coeffs) if c]
-    )
-
-
-# Link weights w(k, n) = q^(a k^2 + b k + c k n) of the twist columns, named
-# by (a, b, c).  A descriptor is a tuple of ints, so a column's memo key
-# holds no function (the benchmark tracer rebinds those).
-_TWIST_PLUS = (1, 1, 0)  # q^(k(k+1)): twist boxes of positive sign
-_TWIST_MINUS = (0, -1, -1)  # q^(-k(n+1)): twist boxes of negative sign
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_column(link: tuple[int, int, int], p: int, length: int, n: int) -> CycNumber:
-    """C(length, n) = sum_{k<=n} w(k, n) [n; k] C(length-1, k) at q = e_p,
-    C(1, n) = 1: one element of Z[zeta_p].
-
-    This is the sum over the chains k_1 <= ... <= k_length = n of the
-    products of the link weights w(k_i, k_{i+1}) [k_{i+1}; k_i], with w
-    named by the descriptor link = (a, b, c) and the q-binomials taken at
-    the root (their zeros skipped); a_at_root reads the twist columns.  A
-    column does not depend on any bound on the chain, so every top n shares
-    it.
-    """
-    if length == 1:
-        return CycNumber.from_int(p, 1)
-    a, b, c = link
-    # Every 64th level is filled, so a cold column recurses through fewer
-    # than 64 levels, and the fill that each new column starts with costs
-    # length/64 lookups per key rather than length.
-    _fill_below(functools.partial(_chain_column, link, p), length, lambda i: range(n + 1), 64)
-    return _link_sum(
-        p,
-        (
-            (2 * k * (a * k + b + c * n), binom, _chain_column(link, p, length - 1, k))
-            for k in range(n + 1)
-            if (binom := qbinomial_at_root(n, k, p))
-        ),
-    )
-
-
 def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int]:
     """(top, low, e, prefix + j): the mirror torus link j = k_{i-1} <= k = k_i
     after the prefix P' = k_1 + ... + k_{i-2} has the weight q^e [top; low],
     q^(j^2) [k + j - i + 1 + 2P'; k - j], and leads to the prefix P' + j.
     Both torus routes, at q = 2^W and at q = e_p, read this one rule."""
     return k + j - i + 1 + 2 * prefix, k - j, j * j, prefix + j
+
+
+# Link rules of the chain columns at q = e_p.  A twist rule is named by its
+# weights (a, b, c), w(k, n) = q^(a k^2 + b k + c k n), and keeps every chain
+# at prefix 0; _MIRROR_TORUS names the rule of _torus_link.  A descriptor is
+# data, so a column's memo key holds no function (the benchmark tracer
+# rebinds those).
+_TWIST_PLUS = (1, 1, 0)  # q^(k(k+1)): twist boxes of positive sign
+_TWIST_MINUS = (0, -1, -1)  # q^(-k(n+1)): twist boxes of negative sign
+_MIRROR_TORUS = "mirror torus"
+_Rule = Union[tuple[int, int, int], str]
+
+
+def _link(rule: _Rule, i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int]:
+    """(top, low, e, after): under rule, the link k = k_(i-1) <= n = k_i after
+    the prefix has the weight q^e [top; low] and leads to the prefix after."""
+    if rule == _MIRROR_TORUS:
+        return _torus_link(i, n, k, prefix)
+    a, b, c = rule
+    return n, k, k * (a * k + b + c * n), prefix
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_column(rule: _Rule, p: int, length: int, n: int) -> dict[int, CycNumber]:
+    """{P: C(length, n, P)} at q = e_p, one element of Z[zeta_p] per prefix P.
+
+    C(length, n, P) is the sum over the chains k_1 <= ... <= k_length = n,
+    with k_1 >= 1 for the mirror torus and k_1 >= 0 for a twist, whose links
+    lead to the prefix P, of the products of the link weights of _link, with
+    the q-binomials taken at the root (their zeros skipped); C(1, n, 0) = 1.
+    A twist chain stays at prefix 0.  Each prefix's terms are added into
+    one vector of the p powers of zeta_p and reduced once.  A column does not
+    depend on any bound on the chain, so every top n, and every knot of a
+    shape, shares it.
+    """
+    if length == 1:
+        return {0: CycNumber.from_int(p, 1)}
+    low = 1 if rule == _MIRROR_TORUS else 0
+    # Every 64th level is filled, so a cold column recurses through fewer
+    # than 64 levels, and the fill that each new column starts with costs
+    # length/64 lookups per key rather than length.
+    _fill_below(functools.partial(_chain_column, rule, p), length, lambda i: range(low, n + 1), 64)
+    parts: dict[int, list[int]] = {}
+    for k in range(low, n + 1):
+        for prefix, value in _chain_column(rule, p, length - 1, k).items():
+            b_top, b_low, e, after = _link(rule, length, n, k, prefix)
+            if binom := qbinomial_at_root(b_top, b_low, p):
+                acc = parts[after] if after in parts else parts.setdefault(after, [0] * p)
+                for i, c in enumerate((binom * value).coeffs, e):
+                    acc[i % p] += c
+    return {after: CycNumber.from_powers(p, enumerate(acc)) for after, acc in parts.items()}
 
 
 def _qbinomial_rows(width: int, reach: list[int]) -> Iterator[list[int]]:
@@ -380,36 +387,6 @@ def _torus_chain_value(t: int, top: int, width: int) -> int:
     return sum(columns[top].values())
 
 
-def _torus_links(
-    p: int, i: int, k: int
-) -> Iterator[tuple[int, tuple[int, CycNumber, CycNumber]]]:
-    """The terms of T(i, k, .) at q = e_p by the last link j = k_{i-1} <= k.
-
-    Yields (P, (2e, [top; low] at e_p, T(i-1, j, P'))) for the links of
-    _torus_link, skipping those whose binomial vanishes at e_p.
-    """
-    for j in range(1, k + 1):
-        for prefix, value in _torus_column(p, i - 1, j).items():
-            b_top, low, e, after = _torus_link(i, k, j, prefix)
-            if binom := qbinomial_at_root(b_top, low, p):
-                yield after, (2 * e, binom, value)
-
-
-@functools.lru_cache(maxsize=None)
-def _torus_column(p: int, i: int, k: int) -> dict[int, CycNumber]:
-    """{P: T(i, k, P)}: the sum over chains 1 <= k_1 <= ... <= k_i = k with
-    k_1 + ... + k_{i-1} = P of the first i - 1 link weights of the mirror
-    torus sum, at q = e_p: one element of Z[zeta_p] per prefix.  T depends on
-    neither t nor n, so every T(2, 2t+1) shares it.
-    """
-    if i == 1:
-        return {0: CycNumber.from_int(p, 1)}
-    parts: dict[int, list] = {}
-    for prefix, term in _torus_links(p, i, k):
-        parts.setdefault(prefix, []).append(term)
-    return {prefix: _link_sum(p, terms) for prefix, terms in parts.items()}
-
-
 def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
     """a_n of the mirror of T(2, 2t+1), as a chain multi-sum.
 
@@ -419,19 +396,18 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
 
     With ring None the sum S(q) is read off the integer S(2^W) by _read_off:
     every link weight has nonnegative coefficients, so S does too, and none
-    exceeds S(1).  With ring p the sum is taken at q = e_p over the memoized
-    columns T(i, k, P); its top level is summed on the fly, as it is used
-    once per (t, n).
+    exceeds S(1).  With ring p the sum is the sum over the prefixes of the
+    top column of _chain_column at q = e_p.  Its levels are filled here one
+    by one, lowest first: on long chains that is quicker than the column's
+    own fill of every 64th level (a_at_root(t2:400, 1, 3): 6 %).
     """
     sign = -1 if n % 2 else 1
     top = n + 1
     shift = n * (n + 1) + 2 * (top - t)
     if ring is None:
         return _read_off(functools.partial(_torus_chain_value, t, top), shift, sign)
-    _fill_below(functools.partial(_torus_column, ring), t, lambda i: range(1, top + 1))
-    total = CycNumber.from_int(ring, 1)
-    if t > 1:
-        total = _link_sum(ring, (term for _, term in _torus_links(ring, t, top)))
+    _fill_below(functools.partial(_chain_column, _MIRROR_TORUS, ring), t, lambda i: range(1, top + 1))
+    total = sum(_chain_column(_MIRROR_TORUS, ring, t, top).values(), CycNumber.zero(ring))
     return total.times_zeta(shift // 2) * sign
 
 
@@ -446,12 +422,13 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
 
 def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
     """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the
-    product of _double_twist_c, with P and M the twist columns at q = e_p."""
-    plus = _chain_column(_TWIST_PLUS, p, knot.m, n)
+    product of _double_twist_c, with P and M the prefix-0 entries of the
+    twist columns at q = e_p."""
+    plus = _chain_column(_TWIST_PLUS, p, knot.m, n)[0]
     if knot.l > 0:
         sign = -1 if n % 2 else 1
-        return (_chain_column(_TWIST_PLUS, p, knot.l, n) * plus).times_zeta(n * (n + 3) // 2) * sign
-    return plus * _chain_column(_TWIST_MINUS, p, -knot.l, n)
+        return (_chain_column(_TWIST_PLUS, p, knot.l, n)[0] * plus).times_zeta(n * (n + 3) // 2) * sign
+    return plus * _chain_column(_TWIST_MINUS, p, -knot.l, n)[0]
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:

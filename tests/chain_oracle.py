@@ -1,8 +1,8 @@
 """Independent enumeration oracle for the chain multi-sums.
 
 The library evaluates every nondecreasing-chain multi-sum through memoized
-columns at a root of unity (knots._chain_column for the twist sums and
-knots._torus_column for the mirror torus sum), through the unmemoized level
+columns at a root of unity (knots._chain_column, one kernel for the twist
+sums and the mirror torus sum), through the unmemoized level
 loop knots._chain_levels (the hyper-Jones and ADO sums, and the tests'
 generic twist columns), or at one integer point (the double twist and
 mirror torus sums at generic q, knots._twist_chain_values and

@@ -864,6 +864,16 @@ class TestExactDivErrors:
         with pytest.raises(InexactDivisionError, match="remainder"):
             exact_div(zeta_num, den)
 
+    def test_a_zero_packed_remainder_is_no_quotient(self):
+        # (x + zeta_3) / (1 + x) is inexact, yet packed at every width w its
+        # coordinate blocks x and 1 give N(2^w) = 2^w + 2^(2w) = D(2^w) 2^w:
+        # the packed quotient's first block carries the digit 1 past the
+        # quotient's one coefficient, so no quotient may be read off it
+        num = LaurentPoly.univar("x", {0: zeta(3), 2: 1}, 3)
+        den = LaurentPoly.univar("x", {0: 1, 2: 1})
+        with pytest.raises(InexactDivisionError, match="Mignotte"):
+            exact_div(num, den)
+
     def test_laurent_shifts(self):
         num = LaurentPoly.univar("x", {-2: 1, 4: 1})  # x^-1 + x^2
         den = LaurentPoly.univar("x", {0: 1, 2: 1})  # 1 + x

@@ -186,21 +186,22 @@ def test_column_at_root_is_the_generic_column_at_the_root(p):
             generic = _generic_columns(link, length, 2 * p - 1)
             for n in range(2 * p):
                 expected = eval_at_root(generic[n], p)
-                assert knots._chain_column(link, p, length, n) == expected, (link, length, n)
+                assert knots._chain_column(link, p, length, n)[0] == expected, (link, length, n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
 def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
-    # the (k, P) columns over Z[zeta_p] hold the chain-by-chain columns'
-    # values at e_p (a prefix whose binomials all vanish there is left out),
-    # and their sum is the chain-by-chain oracle evaluated at e_p
+    # the (k, P) columns of the mirror torus rule over Z[zeta_p] hold the
+    # chain-by-chain columns' values at e_p (a prefix whose binomials all
+    # vanish there is left out), and their sum is the chain-by-chain oracle
+    # evaluated at e_p
     for t in range(1, 6):
         for n in range(7):
             expected = eval_at_root(chain_oracle.mirror_torus_a(t, n), p)
             assert knots._mirror_torus_a(t, n, p) == expected, (t, n)
     for i in range(1, 5):
         for k in range(1, 7):
-            at_root = knots._torus_column(p, i, k)
+            at_root = knots._chain_column(knots._MIRROR_TORUS, p, i, k)
             oracle = chain_oracle.torus_column(i, k)
             assert set(at_root) <= set(oracle), (i, k)
             for prefix, value in oracle.items():
@@ -293,7 +294,6 @@ def test_a_at_root_builds_no_generic_coefficient(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(knots, "_chain_column", record(knots._chain_column, 1))
-    monkeypatch.setattr(knots, "_torus_column", record(knots._torus_column, 0))
     a_at_root(parse_knot("dt:-2,3"), 40, 13)
     a_at_root(parse_knot("!t2:3"), 20, 13)
     assert habiro_a.cache_info().currsize == 0
@@ -332,17 +332,18 @@ class TestSharedColumns:
         minus = _generic_columns(knots._TWIST_MINUS, length, 1)[1]
         assert plus == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
         assert minus == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
-        at_root = knots._chain_column(knots._TWIST_PLUS, 3, length, 1)
+        at_root = knots._chain_column(knots._TWIST_PLUS, 3, length, 1)[0]
         assert at_root == CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
         for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
             assert habiro_a(parse_knot(spec), 0) == 1, spec
+            assert a_at_root(parse_knot(spec), 0, 3) == 1, spec
 
     def test_clear_caches_empties_every_cache(self):
         grid = [(parse_knot(spec), n) for spec in ("dt:2,2", "dt:-2,3", "t2:3", "!t2:4") for n in range(6)]
         before = [habiro_a(K, n) for K, n in grid]
         caches = _memoized_functions()
         names = (
-            "knots.habiro_a", "knots.a_at_root", "knots._chain_column", "knots._torus_column",
+            "knots.habiro_a", "knots.a_at_root", "knots._chain_column",
             "qtools.qbinomial", "qtools._qbinomial_residue",
         )
         assert {f"cycloknot.{name}" for name in names} <= set(caches)
