@@ -35,10 +35,10 @@ A product of two polynomials takes one of three shapes:
   (bivariate operands row by row, with a row stride wide enough that the
   variables never wrap into each other).  One bigint product replaces the
   term-pair loop.  Coefficient size is unlimited.  One digit reader,
-  _unpack, reads these products and, through nonnegative_digits, the
-  integer points of knots alike, with digits as wide as _digit_width gives:
-  digits of 8, 16, 32 or 64 bits convert in C through struct, and other
-  widths are sliced from the binary digits.
+  _unpack, reads these products and, through nonnegative_digits and
+  reversed_digits, the integer points of knots alike, with digits as wide
+  as _digit_width gives: digits of 8, 16, 32 or 64 bits convert in C
+  through struct, and other widths are sliced from the binary digits.
 - Every other product goes by term pairs.  Over Z[zeta_m] each pair's
   unreduced convolution is added into one power vector per product
   exponent; each vector is reduced once and dropped if it reduces to 0 (the
@@ -720,6 +720,17 @@ def nonnegative_digits(value_at: Callable[[int], int]) -> list[int]:
     width = _digit_width(value_at(0).bit_length())
     value = value_at(width)
     return _unpack(value, -(-value.bit_length() // width), width, signed=False)
+
+
+def reversed_digits(value: int, size: int, width: int) -> int:
+    """S(2**width) = value, S of degree below size, with its size digits reversed:
+    q^(size-1) S(1/q) at q = 2**width, and value itself at width 0, q = 1."""
+    if not width:
+        return value
+    digits = _unpack(value, size, width, signed=False)
+    if code := _CAST_CODES.get(width):
+        return int.from_bytes(struct.pack(f">{size}{code.upper()}", *digits), "big")
+    return int("".join([format(d, f"0{width}b") for d in digits]), 2)
 
 
 def _packed_div(cols: list[tuple[int, ...]], den: list[int]) -> list[tuple[int, ...]]:

@@ -19,25 +19,25 @@ S(1), or a little more where the digits then convert in C, the same
 recursion runs once more at q = 2^W, where a weight q^e is a shift by W e
 and the q-binomials come from q-Pascal shift-adds, and the coefficients of
 S are the base-2^W digits of S(2^W), read in one pass by exactring's digit
-reader.  For a double twist knot S is the product of two twist columns,
-the negative-twist one shifted to a polynomial; the mirror torus
-q-binomial depends on the prefix sum, so its recursion runs over the
-states (k, prefix).  The torus knots and the mirrors of double twist knots
-are the images under q -> 1/q.  No polynomial in q is multiplied on any of
-these routes.
+reader.  For a double twist knot S is the product of two entries of one
+twist column, a negative-twist entry read at q -> 1/q by reversing its
+digits; the mirror torus q-binomial depends on the prefix sum, so its
+recursion runs over the states (k, prefix).  The torus knots and the
+mirrors of double twist knots are the images under q -> 1/q.  No
+polynomial in q is multiplied on any of these routes.
 
 At q = e_p both sums keep memoized columns in one kernel, _chain_column:
 the sums over the chains of a given length that end at a given value k,
-one element of Z[zeta_p] per prefix sum, keyed by a link-rule descriptor
-and the root order.  A twist rule keeps every chain at prefix 0; the
-mirror torus rule, whose q-binomial reads the prefix sum, is the rule of
-the integer route.  A column depends neither on the index n nor on the
-knot's parameters, so a_0, ..., a_N, and knots whose chains share a
-prefix, share one set of columns, and columns are filled from below,
-lowest level first, so chains of any length need no deep recursion.  The
-chain sums whose values are polynomials, the hyper-Jones and ADO sums of
-invariants and the tests' generic twist columns, run through one
-unmemoized level loop, _chain_levels, which keeps only the level below.
+one element of Z[zeta_p] per prefix sum, keyed by a link rule's name and
+the root order.  The twist rule keeps every chain at prefix 0, and a
+negative twist reads its column's Galois image zeta -> 1/zeta; the mirror
+torus rule is the rule of the integer route.  A column depends neither on
+the index n nor on the knot's parameters, so a_0, ..., a_N, and knots
+whose chains share a prefix, share one set of columns, and columns are
+filled from below, lowest level first, so chains of any length need no
+deep recursion.  The chain sums whose values are polynomials, the
+hyper-Jones and ADO sums of invariants and the tests' generic twist
+columns, run through one unmemoized level loop, _chain_levels.
 
 a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the chain
 columns in the ring p, where each column entry is one element of Z[zeta_p]
@@ -59,7 +59,7 @@ import math
 import re
 from typing import Callable, Iterator, Optional, Union
 
-from .exactring import CycNumber, Frozen, LaurentPoly, exact_div, nonnegative_digits, zeta
+from .exactring import CycNumber, Frozen, LaurentPoly, exact_div, nonnegative_digits, reversed_digits, zeta
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -219,28 +219,23 @@ def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int
     return k + j - i + 1 + 2 * prefix, k - j, j * j, prefix + j
 
 
-# Link rules of the chain columns at q = e_p.  A twist rule is named by its
-# weights (a, b, c), w(k, n) = q^(a k^2 + b k + c k n), and keeps every chain
-# at prefix 0; _MIRROR_TORUS names the rule of _torus_link.  A descriptor is
-# data, so a column's memo key holds no function (the benchmark tracer
-# rebinds those).
-_TWIST_PLUS = (1, 1, 0)  # q^(k(k+1)): twist boxes of positive sign
-_TWIST_MINUS = (0, -1, -1)  # q^(-k(n+1)): twist boxes of negative sign
+# The link rules of the chain columns at q = e_p, named so that a column's
+# memo key holds no function (the benchmark tracer rebinds those): _TWIST,
+# q^(k(k+1)) [n; k] at prefix 0, and _MIRROR_TORUS, the rule of _torus_link.
+_TWIST = "twist"
 _MIRROR_TORUS = "mirror torus"
-_Rule = Union[tuple[int, int, int], str]
 
 
-def _link(rule: _Rule, i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int]:
+def _link(rule: str, i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int]:
     """(top, low, e, after): under rule, the link k = k_(i-1) <= n = k_i after
     the prefix has the weight q^e [top; low] and leads to the prefix after."""
     if rule == _MIRROR_TORUS:
         return _torus_link(i, n, k, prefix)
-    a, b, c = rule
-    return n, k, k * (a * k + b + c * n), prefix
+    return n, k, k * (k + 1), prefix
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_column(rule: _Rule, p: int, length: int, n: int) -> dict[int, CycNumber]:
+def _chain_column(rule: str, p: int, length: int, n: int) -> dict[int, CycNumber]:
     """{P: C(length, n, P)} at q = e_p, one element of Z[zeta_p] per prefix P.
 
     C(length, n, P) is the sum over the chains k_1 <= ... <= k_length = n,
@@ -250,7 +245,7 @@ def _chain_column(rule: _Rule, p: int, length: int, n: int) -> dict[int, CycNumb
     A twist chain stays at prefix 0.  Each prefix's terms are added into
     one vector of the p powers of zeta_p and reduced once.  A column does not
     depend on any bound on the chain, so every top n, and every knot of a
-    shape, shares it.
+    shape, shares it; a negative twist reads its Galois image.
     """
     if length == 1:
         return {0: CycNumber.from_int(p, 1)}
@@ -289,19 +284,6 @@ def _qbinomial_rows(width: int, reach: list[int]) -> Iterator[list[int]]:
         yield row
 
 
-def _qbinomials_at(width: int, reach: list[int]) -> Callable[[int, int], int]:
-    """[top; low] at q = 2^width, for low < len(reach) and top - low <= reach[low],
-    from the whole table of _qbinomial_rows.  Outside 0 <= low <= top the
-    binomial is 0.
-    """
-    rows = list(_qbinomial_rows(width, reach))
-
-    def binom(top: int, low: int) -> int:
-        return rows[low][top - low] if 0 <= low <= top else 0
-
-    return binom
-
-
 def _read_off(value_at: Callable[[int], int], e2: int, sign: int) -> LaurentPoly:
     """sign q^(e2/2) S(q) for a sum S(q) with nonnegative coefficients, from
     value_at(W) = S(2^W), whose base-2^W digits exactring.nonnegative_digits
@@ -310,39 +292,35 @@ def _read_off(value_at: Callable[[int], int], e2: int, sign: int) -> LaurentPoly
     return LaurentPoly(("q",), tuple([((e2 + 2 * d,), sign * c) for d, c in enumerate(digits) if c]), None)
 
 
-def _twist_chain_values(length: int, top: int, width: int, plus: bool) -> list[int]:
-    """[P(i, top) at q = 2^width for i = 1..length], or with plus False the
-    same for R; width 0 gives the values at q = 1, where P and R agree.
+def _twist_chain_values(length: int, top: int, width: int) -> list[int]:
+    """[P(i, top) at q = 2^width for i = 1..length], the values at q = 1 at width 0.
 
-    P(i, n) = sum_{k<=n} q^(k(k+1)) [n; k] P(i-1, k) is the column of
-    _TWIST_PLUS.  R(i, n) = q^((i-1)n(n+1)) M(i, n) is the column M of
-    _TWIST_MINUS made a polynomial:
-        R(i, n) = sum_{k<=n} q^((i-1)n(n+1) - k(n+1) - (i-2)k(k+1)) [n; k] R(i-1, k),
-    whose exponent is 0 at k = n and grows as k falls.  So every weight is a
-    shift and every q-binomial [n; k] a cell of row k of the shift-add
-    table; P(1, n) = R(1, n) = 1.  The rows are read one at a time, k
-    outermost, each adding its terms to every level lowest first: the entry
-    k of a level is then complete before the level above reads it, and at
-    most two rows of the table are alive, a row and the one it is built
-    from.  The last level is kept at the top only.
+    P(i, n) = sum_{k<=n} q^(k(k+1)) [n; k] P(i-1, k), P(1, n) = 1, is the
+    twist column of _TWIST.  Every weight is a shift and every q-binomial
+    [n; k] a cell of row k of the shift-add table.  The rows are read one at
+    a time, k outermost, each adding its terms to every level lowest first:
+    the entry k of a level is then complete before the level above reads
+    it, and at most two rows of the table are alive, a row and the one it is
+    built from.  The last level is kept at the top only.
     """
     columns = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(1, length)]
     for k, row in enumerate(_qbinomial_rows(width, [top - b for b in range(top + 1)])):
+        shift = width * k * (k + 1)
         for i in range(2, length + 1):
             low, column = columns[i - 2][k], columns[i - 1]
             for n in range(k, top + 1) if i < length else (top,):
-                e = k * (k + 1) if plus else (i - 1) * n * (n + 1) - k * (n + 1) - (i - 2) * k * (k + 1)
-                column[n] += row[n - k] * low << width * e
+                column[n] += row[n - k] * low << shift
     return [column[top] for column in columns]
 
 
 def _double_twist_value(l: int, m: int, n: int, width: int) -> int:
-    """D(2^width) for the double twist sum D = P(l, n) P(m, n), or
-    P(m, n) R(-l, n) for l < 0, with P and R of _twist_chain_values."""
-    plus = _twist_chain_values(m, n, width, True)
+    """D(2^width) for the double twist sum D = P(l, n) P(m, n), or P(m, n) R(-l, n)
+    for l < 0, from one run of _twist_chain_values: R(i, n) = q^((i-1)n(n+1)) P(i, n)(1/q)
+    is P(i, n) with its (i-1)n(n+1) + 1 base-2^width digits in reverse order."""
+    plus = _twist_chain_values(max(m, -l), n, width)
     if l > 0:
-        return plus[l - 1] * plus[-1]
-    return plus[-1] * _twist_chain_values(-l, n, width, False)[-1]
+        return plus[l - 1] * plus[m - 1]
+    return plus[m - 1] * reversed_digits(plus[-l - 1], (-l - 1) * n * (n + 1) + 1, width)
 
 
 def _double_twist_c(knot: DoubleTwist, n: int) -> LaurentPoly:
@@ -351,8 +329,8 @@ def _double_twist_c(knot: DoubleTwist, n: int) -> LaurentPoly:
     For l > 0, C_n = q^n P(l, n) P(m, n); for l < 0,
     C_n = (-1)^n q^(-n(n+1)/2) P(m, n) M(-l, n)
         = (-1)^n q^((l+1/2)n(n+1)) P(m, n) R(-l, n).
-    Every link weight has nonnegative coefficients, so the product D does
-    too, and it is read off D(2^W) as in the mirror torus sum.
+    M(i, n) = P(i, n)(1/q), as [n; k](1/q) = q^(-k(n-k)) [n; k].  Every link
+    weight has nonnegative coefficients, so D does too, read off D(2^W).
     """
     l, m = knot.l, knot.m
     if l > 0:
@@ -368,10 +346,10 @@ def _torus_chain_value(t: int, top: int, width: int) -> int:
 
     Levels go lowest first and only the level below is kept: one int per
     state (k, P), where each weight q^e is a shift by width e and each
-    q-binomial an entry of the shift-add table.  A link j <= k has
-    low = k - j < top and top - low <= 2 (t - 1) j - t + 1, as P' <= (t - 2) j.
+    q-binomial a cell rows[low][top - low] of the shift-add table.  A link j <= k has
+    low = k - j < top and 1 <= top - low <= 2 (t - 1) j - t + 1, as i - 2 <= P' <= (t - 2) j.
     """
-    binom = _qbinomials_at(width, [max(0, 2 * (t - 1) * (top - b) - t + 1) for b in range(top)])
+    rows = list(_qbinomial_rows(width, [max(0, 2 * (t - 1) * (top - b) - t + 1) for b in range(top)]))
     columns = {k: {0: 1} for k in range(1, top + 1)}
     for i in range(2, t + 1):
         level = {}
@@ -380,7 +358,7 @@ def _torus_chain_value(t: int, top: int, width: int) -> int:
             for j in range(1, k + 1):
                 for prefix, value in columns[j].items():
                     b_top, low, e, after = _torus_link(i, k, j, prefix)
-                    term = binom(b_top, low) * value << width * e
+                    term = rows[low][b_top - low] * value << width * e
                     column[after] = column[after] + term if after in column else term
             level[k] = column
         columns = level
@@ -421,14 +399,14 @@ def _q_inverted(f: LaurentPoly) -> LaurentPoly:
 
 
 def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
-    """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the
-    product of _double_twist_c, with P and M the prefix-0 entries of the
-    twist columns at q = e_p."""
-    plus = _chain_column(_TWIST_PLUS, p, knot.m, n)[0]
+    """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the product of
+    _double_twist_c, with P the prefix-0 entry of the twist column at q = e_p
+    and M(i, n) = P(i, n)(1/q) its Galois image zeta -> 1/zeta."""
+    plus = _chain_column(_TWIST, p, knot.m, n)[0]
     if knot.l > 0:
         sign = -1 if n % 2 else 1
-        return (_chain_column(_TWIST_PLUS, p, knot.l, n)[0] * plus).times_zeta(n * (n + 3) // 2) * sign
-    return plus * _chain_column(_TWIST_MINUS, p, -knot.l, n)[0]
+        return (_chain_column(_TWIST, p, knot.l, n)[0] * plus).times_zeta(n * (n + 3) // 2) * sign
+    return plus * _chain_column(_TWIST, p, -knot.l, n)[0].galois(-1)
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:

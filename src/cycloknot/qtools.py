@@ -35,7 +35,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
-from .exactring import Coeff, CycNumber, LaurentPoly, eval_at_root, zeta
+from .exactring import Coeff, CycNumber, LaurentPoly, zeta
 
 
 def _q(e2: int, c: int = 1) -> LaurentPoly:
@@ -193,9 +193,18 @@ def qbinomial_at_root(n: int, k: int, p: int) -> CycNumber:
 
 @functools.lru_cache(maxsize=None)
 def _qbinomial_residue(n0: int, k0: int, p: int) -> CycNumber:
-    """[n0; k0] at q = zeta_p for n0, k0 < p: the small q-binomials that
-    q-Lucas reduces every [n; k] to, each evaluated once."""
-    return eval_at_root(qbinomial(n0, k0), p)
+    """[n0; k0] at q = zeta_p for n0, k0 < p, the q-binomials that q-Lucas reduces
+    every [n; k] to, each computed once in Z[zeta_p] by the Pascal rule
+    [n; k] = [n-1; k-1] + zeta^k [n-1; k], and 0 for k0 > n0.  Every 32nd row of
+    the cells it reaches is filled first: a cold cell recurses through fewer
+    than 32 rows, and its fill looks up n0/32 rows rather than n0."""
+    if k0 > n0:
+        return CycNumber.zero(p)
+    if k0 == 0 or k0 == n0:
+        return CycNumber.from_int(p, 1)
+    reach = lambda i: range(max(0, k0 - n0 + i), min(k0, i) + 1)
+    _fill_below(lambda i, k: _qbinomial_residue(i, k, p), n0, reach, 32)
+    return _qbinomial_residue(n0 - 1, k0 - 1, p) + _qbinomial_residue(n0 - 1, k0, p).times_zeta(k0)
 
 
 @functools.lru_cache(maxsize=None)

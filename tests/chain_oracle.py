@@ -2,15 +2,18 @@
 
 The library evaluates every nondecreasing-chain multi-sum through memoized
 columns at a root of unity (knots._chain_column, one kernel for the twist
-sums and the mirror torus sum), through the unmemoized level
+sum and the mirror torus sum), through the unmemoized level
 loop knots._chain_levels (the hyper-Jones and ADO sums, and the tests'
 generic twist columns), or at one integer point (the double twist and
 mirror torus sums at generic q, knots._twist_chain_values and
-knots._torus_chain_value).  This module keeps the direct route:
-list every chain with itertools.combinations_with_replacement and add up the
-product of its link weights, one chain at a time.  The cost grows like
-C(n+len-1, len-1), so it is only for the small grids of the tests; it shares
-no code with the kernel.
+knots._torus_chain_value).  The library keeps only the positive twist sum
+and reads the negative one as its image under q -> 1/q.  This module keeps
+the direct route: list every chain with
+itertools.combinations_with_replacement and add up the product of its link
+weights, one chain at a time, with the negative weights of chain_sum_minus
+enumerated on their own rather than derived from chain_sum_plus.  The cost
+grows like C(n+len-1, len-1), so it is only for the small grids of the
+tests; it shares no code with the kernel.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -233,6 +234,17 @@ class TestVerify:
         assert obj["summary"]["failed"] == 0
         assert obj["suites"][0]["suite"] == "jones-consistency"
         assert all(r["pass"] for r in obj["suites"][0]["reports"])
+
+    def test_exploratory_json_stream_is_pinned(self, capsys):
+        # every suite with its exploratory points, as JSON: the stream that
+        # bench/verify_all.stdout, the text stream of the listed checks,
+        # does not cover
+        code, out, err = run_capture(
+            capsys, ["verify", "--suite", "all", "--exploratory", "--format", "json"]
+        )
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "cf7be5e2f9ff8e50b15abf147e20223531aa21dfaec4180db973c9bcafbbd935"
 
 
 class TestBrokenPipe:

@@ -23,6 +23,7 @@ from cycloknot.exactring import (
     eval_at_root,
     exact_div,
     nonnegative_digits,
+    reversed_digits,
     zeta,
 )
 from cycloknot.qtools import qbinomial, qpochhammer
@@ -657,6 +658,20 @@ class TestDigitReader:
 
         assert nonnegative_digits(value_at) == coeffs
         assert calls == [0, _digit_width(sum(coeffs).bit_length())]
+
+    @pytest.mark.parametrize("width", [3, 8, 13, 16, 32, 64, 65])
+    def test_reversed_digits(self, width):
+        # the digits 5, 0, 1, 2**width - 1, 0 read from the top: the zero top
+        # digit, inside size, becomes the bottom one
+        top = 2**width - 1
+        value = 5 + (1 << 2 * width) + (top << 3 * width)
+        reversed_value = (top << width) + (1 << 2 * width) + (5 << 4 * width)
+        assert reversed_digits(value, 5, width) == reversed_value
+        assert reversed_digits(reversed_value, 5, width) == value
+
+    def test_reversed_digits_at_width_0_is_the_value(self):
+        # at q = 1 a polynomial and its reverse have one value
+        assert reversed_digits(12345, 7, 0) == 12345
 
     def test_digit_widths(self):
         # the next C width when it is at most 8 bits wider, else the bits

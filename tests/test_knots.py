@@ -108,10 +108,18 @@ def _double_twist_a_oracle(l: int, m: int, n: int, mirrored: bool) -> LaurentPol
     return a.substitute("q", new_var="q", exp2=-2) if mirrored else a
 
 
+# The twist link weights q^(a k^2 + b k + c k n) [n; k] of the two box signs,
+# as (a, b, c): q^(k(k+1)) for positive boxes, q^(-k(n+1)) for negative ones.
+# The library keeps only the positive column; these keep the oracle apart
+# from it.
+_PLUS = (1, 1, 0)
+_MINUS = (0, -1, -1)
+
+
 def _generic_columns(link: tuple[int, int, int], length: int, top: int) -> list[LaurentPoly]:
     """Labelled oracle of habiro_a's integer route: the generic twist columns
     [C(length, n) for n <= top] of the link weight q^(a k^2 + b k + c k n) [n; k]
-    named by the descriptor link = (a, b, c), from knots._chain_levels."""
+    named by link = (a, b, c), from knots._chain_levels."""
     a, b, c = link
     return knots._chain_levels(
         length, [qp({0: 1})] * (top + 1), lambda k, n: (2 * k * (a * k + b + c * n), qbinomial(n, k))
@@ -122,12 +130,12 @@ def _generic_columns(link: tuple[int, int, int], length: int, top: int) -> list[
 # compared over: (library call, oracle call, parameter tuples).
 _TRANSFER_SITES = {
     "chain_sum_plus": (
-        lambda length, n: _generic_columns(knots._TWIST_PLUS, length, n)[n],
+        lambda length, n: _generic_columns(_PLUS, length, n)[n],
         chain_oracle.chain_sum_plus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
     "chain_sum_minus": (
-        lambda length, n: _generic_columns(knots._TWIST_MINUS, length, n)[n],
+        lambda length, n: _generic_columns(_MINUS, length, n)[n],
         chain_oracle.chain_sum_minus,
         [(length, n) for length in range(1, 7) for n in range(5)],
     ),
@@ -177,16 +185,29 @@ def test_transfer_kernel_matches_enumeration(site):
         assert library(*args) == oracle(*args), (site, args)
 
 
+def test_negative_twist_sum_is_the_positive_one_at_the_inverse_of_q():
+    # [n; k] at 1/q is q^(-k(n-k)) [n; k], so the negative link weight
+    # q^(-k(n+1)) [n; k] is the positive one, q^(k(k+1)) [n; k], at 1/q: the
+    # identity by which the library keeps one twist column
+    for length in range(1, 7):
+        for n in range(7):
+            plus = chain_oracle.chain_sum_plus(length, n)
+            inverted = plus.substitute("q", new_var="q", exp2=-2)
+            assert chain_oracle.chain_sum_minus(length, n) == inverted, (length, n)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_column_at_root_is_the_generic_column_at_the_root(p):
-    # the twist columns over Z[zeta_p] equal the generic columns evaluated
-    # at e_p, so a_n(e_p) can be read from them
-    for link in (knots._TWIST_PLUS, knots._TWIST_MINUS):
+    # the twist column over Z[zeta_p] equals the generic positive column
+    # evaluated at e_p, and its Galois image zeta -> 1/zeta the negative
+    # one, so a_n(e_p) can be read from it for either sign
+    for link, galois in ((_PLUS, 1), (_MINUS, -1)):
         for length in range(1, 6):
             generic = _generic_columns(link, length, 2 * p - 1)
             for n in range(2 * p):
                 expected = eval_at_root(generic[n], p)
-                assert knots._chain_column(link, p, length, n)[0] == expected, (link, length, n)
+                at_root = knots._chain_column(knots._TWIST, p, length, n)[0].galois(galois)
+                assert at_root == expected, (link, length, n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
@@ -210,13 +231,13 @@ def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
 
 @pytest.mark.parametrize("width", [0, 1, 7])
 def test_shift_add_qbinomials_are_the_qbinomials_at_a_power_of_two(width):
-    # the q-Pascal table read at q = 2^width, also outside 0 <= b <= a;
+    # the q-Pascal table read at q = 2^width: row b holds [a; b] at a - b;
     # width 0 gives the ordinary binomials
-    binom = knots._qbinomials_at(width, [40] * 41)
+    rows = list(knots._qbinomial_rows(width, [40] * 41))
     for a in range(41):
-        for b in range(-2, a + 3):
+        for b in range(a + 1):
             expected = sum(c << width * (e // 2) for (e,), c in qbinomial(a, b).terms)
-            assert binom(a, b) == expected, (a, b)
+            assert rows[b][a - b] == expected, (a, b)
 
 
 def test_torus_at_large_t_is_the_root_route_at_the_root():
@@ -233,10 +254,10 @@ def _column_product_a(knot: DoubleTwist, n: int) -> LaurentPoly:
     product of the generic twist columns of _generic_columns, the
     polynomial route that the integer route replaced."""
     sign = -1 if n % 2 else 1
-    plus = _generic_columns(knots._TWIST_PLUS, knot.m, n)[n]
+    plus = _generic_columns(_PLUS, knot.m, n)[n]
     if knot.l > 0:
-        return qp({n * (n + 3) // 2: sign}) * _generic_columns(knots._TWIST_PLUS, knot.l, n)[n] * plus
-    return plus * _generic_columns(knots._TWIST_MINUS, -knot.l, n)[n]
+        return qp({n * (n + 3) // 2: sign}) * _generic_columns(_PLUS, knot.l, n)[n] * plus
+    return plus * _generic_columns(_MINUS, -knot.l, n)[n]
 
 
 @pytest.mark.parametrize("spec", ["dt:2,2", "dt:-2,3"])
@@ -297,6 +318,7 @@ def test_a_at_root_builds_no_generic_coefficient(monkeypatch):
     a_at_root(parse_knot("dt:-2,3"), 40, 13)
     a_at_root(parse_knot("!t2:3"), 20, 13)
     assert habiro_a.cache_info().currsize == 0
+    assert qbinomial.cache_info().currsize == 0
     assert rings and set(rings) == {13}
 
 
@@ -328,11 +350,11 @@ class TestSharedColumns:
     def test_chains_deeper_than_the_recursion_limit(self):
         length = 1100
         assert length > sys.getrecursionlimit()
-        plus = _generic_columns(knots._TWIST_PLUS, length, 1)[1]
-        minus = _generic_columns(knots._TWIST_MINUS, length, 1)[1]
+        plus = _generic_columns(_PLUS, length, 1)[1]
+        minus = _generic_columns(_MINUS, length, 1)[1]
         assert plus == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
         assert minus == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
-        at_root = knots._chain_column(knots._TWIST_PLUS, 3, length, 1)[0]
+        at_root = knots._chain_column(knots._TWIST, 3, length, 1)[0]
         assert at_root == CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
         for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
             assert habiro_a(parse_knot(spec), 0) == 1, spec

@@ -294,6 +294,21 @@ class TestColdCacheDepth:
             assert got[name] == oracle(20), name
 
 
+    def test_residue_binomials_fill_every_32nd_row(self):
+        # A cold [n0; k0] at zeta_p recurses through fewer than 32 rows above
+        # the filled ones, about 2 frames a row; a recursion one row at a
+        # time down from n0 = 150 would need about 300.
+        depth = _stack_depth()
+        cycloknot.clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            got = qbinomial_at_root(150, 5, 151)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == eval_at_root(qbinomial(150, 5), 151)
+
+
 class TestBraces:
     def test_scalar_braces(self):
         assert brace(0, 3) == 0
