@@ -37,8 +37,9 @@ A product of two polynomials takes one of three shapes:
   term-pair loop.  Coefficient size is unlimited.  One digit reader,
   _unpack, reads these products and, through nonnegative_digits and
   reversed_digits, the integer points of knots alike, with digits as wide
-  as _digit_width gives: digits of 8, 16, 32 or 64 bits convert in C
-  through struct, and other widths are sliced from the binary digits.
+  as _digit_width gives: digits of whole bytes up to 64 bits convert in C
+  through struct (3-, 5-, 6- and 7-byte digits by way of 8-byte slots), and
+  only wider digits are sliced from the binary text.
 - Every other product goes by term pairs.  Over Z[zeta_m] each pair's
   unreduced convolution is added into one power vector per product
   exponent; each vector is reduced once and dropped if it reduces to 0 (the
@@ -637,20 +638,43 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     )
 
 
-# The signed struct codes of the digit widths, in bits, that convert in C:
-# with "<", struct reads these standard sizes little-endian on every platform.
+# The signed struct codes of the digit widths, in bits, that struct reads
+# directly: with "<", these standard sizes are little-endian on every
+# platform.  Digits of 24, 40, 48 and 56 bits go through 8-byte slots.
 _CAST_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+# bytes.translate table from a digit's top byte to its sign-extension byte
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 def _digit_width(bits: int) -> int:
-    """The width, in bits, of digits that hold `bits` bits: the next width
-    that converts in C when it is at most 8 bits wider, else `bits` itself.
+    """The width, in bits, of digits that hold `bits` bits: the next whole
+    byte up to 64 bits, where the digits convert in C, else `bits` itself.
 
-    A wider digit makes every integer that carries it longer, so digits are
-    widened only as far as the C conversion repays.
+    Past 64 bits the digits are sliced from the binary text at any width,
+    so a wider digit would only make every integer that carries it longer.
     """
     bits = max(1, bits)
-    return min((w for w in _CAST_CODES if bits <= w <= bits + 8), default=bits)
+    return -(-bits // 8) * 8 if bits <= 64 else bits
+
+
+def _in_c(width: int) -> bool:
+    """Whether digits of this width convert in C: whole bytes up to 64 bits."""
+    return width <= 64 and not width % 8
+
+
+def _regroup(buf: bytes, src: int, dst: int, signed: bool = False) -> bytearray:
+    """The little-endian digits of buf, in slots of src bytes, laid again in
+    slots of dst bytes, byte j of every digit by one strided slice.  A
+    narrower slot keeps the low bytes; a wider one adds zero bytes, or for
+    signed digits copies of each digit's sign."""
+    out = bytearray(len(buf) // src * dst)
+    for j in range(min(src, dst)):
+        out[j::dst] = buf[j::src]
+    if signed and dst > src:
+        fill = buf[src - 1 :: src].translate(_SIGN_FILL)
+        for j in range(src, dst):
+            out[j::dst] = fill
+    return out
 
 
 def _halves(size: int, width: int) -> int:
@@ -665,10 +689,14 @@ def _pack(rows: Iterable[Sequence[int]], width: int) -> int:
     half 2**(width-1) is a nonnegative digit: the digits are written with the
     half added, and subtracting the halves again leaves the sum.  In C a
     digit is written in two's complement, which flipping its top bit turns
-    into the same digit plus the half.  No list of all the digits is built.
+    into the same digit plus the half (a 3-, 5-, 6- or 7-byte digit is
+    written in an 8-byte slot first).  No list of all the digits is built.
     """
-    if code := _CAST_CODES.get(width):
+    if _in_c(width):
+        code = _CAST_CODES.get(width, "q")
         buf = b"".join([struct.pack(f"<{len(row)}{code}", *row) for row in rows])
+        if width not in _CAST_CODES:
+            buf = _regroup(buf, 8, width // 8)
         half = _halves(len(buf) * 8 // width, width)
         return (int.from_bytes(buf, "little") ^ half) - half
     top = 1 << (width - 1)
@@ -683,17 +711,21 @@ def _digit_rows(value: int, span: int, count: int, width: int, signed: bool = Tr
 
     Signed digits are balanced, |d_k| < 2**(width-1): adding the half to
     every digit makes them all nonnegative, so none borrows.  Unsigned
-    digits satisfy 0 <= d_k < 2**width.  Digits of 8, 16, 32 or 64 bits
-    convert in C, where flipping the top bits back leaves each signed digit
-    in two's complement; other widths are sliced from the binary digits.
+    digits satisfy 0 <= d_k < 2**width.  Digits of whole bytes up to 64
+    bits convert in C, where flipping the top bits back leaves each signed
+    digit in two's complement (a 3-, 5-, 6- or 7-byte digit is then widened
+    to an 8-byte slot); wider digits are sliced from the binary text.
     """
     size = span * count
     half = _halves(size, width) if signed else 0
     value += half
     if value < 0 or value >> width * size:
         raise OverflowError(f"{size} digits of {width} bits cannot hold the value")
-    if code := _CAST_CODES.get(width):
+    if _in_c(width):
         buf = (value ^ half).to_bytes(size * width // 8, "little")
+        code = _CAST_CODES.get(width)
+        if code is None:
+            buf, code = _regroup(buf, width // 8, 8, signed), "q"
         fmt = struct.Struct(f"<{span}{code if signed else code.upper()}")
         return (fmt.unpack_from(buf, k * fmt.size) for k in range(count))
     text = format(value, f"0{size * width}b")
@@ -709,27 +741,38 @@ def _unpack(value: int, size: int, width: int, signed: bool = True) -> list[int]
     return list(digits)
 
 
-def nonnegative_digits(value_at: Callable[[int], int]) -> list[int]:
+def nonnegative_digits(value_at: Callable[[int], int], at_one: int) -> list[int]:
     """The coefficients c_0, c_1, ... of a polynomial S(q) with nonnegative
-    integer coefficients, from value_at(W) = S(2^W).
+    integer coefficients, from at_one = S(1) and value_at(W) = S(2^W).
 
-    No coefficient exceeds S(1) = value_at(0), so each fits in a digit of
-    its bit length, or of the width _digit_width widens it to; the
-    coefficients are then the base-2^W digits of S(2^W), read by _unpack.
+    No coefficient exceeds S(1), so each fits in a digit of its bit length,
+    or of the width _digit_width widens it to; the coefficients are then
+    the base-2^W digits of S(2^W), read by _unpack.  Each carry out of a
+    digit lowers the digit sum by 2^W - 1, so the digits sum to S(1) exactly
+    when none overflowed, and ArithmeticError is raised when they do not.
     """
-    width = _digit_width(value_at(0).bit_length())
+    width = _digit_width(at_one.bit_length())
     value = value_at(width)
-    return _unpack(value, -(-value.bit_length() // width), width, signed=False)
+    digits = _unpack(value, -(-value.bit_length() // width), width, signed=False)
+    if (total := sum(digits)) != at_one:
+        raise ArithmeticError(f"base-2^{width} digits summing to {total}, not to S(1) = {at_one}")
+    return digits
 
 
 def reversed_digits(value: int, size: int, width: int) -> int:
     """S(2**width) = value, S of degree below size, with its size digits reversed:
-    q^(size-1) S(1/q) at q = 2**width, and value itself at width 0, q = 1."""
+    q^(size-1) S(1/q) at q = 2**width, and value itself at width 0, q = 1.
+    Whole-byte digits up to 64 bits are reversed in C, byte j of every digit
+    by one slice; OverflowError when size digits do not hold value."""
     if not width:
         return value
+    if _in_c(width):
+        step = width // 8
+        buf, out = value.to_bytes(size * step, "little"), bytearray(size * step)
+        for j in range(step):
+            out[j::step] = buf[j::step][::-1]
+        return int.from_bytes(out, "little")
     digits = _unpack(value, size, width, signed=False)
-    if code := _CAST_CODES.get(width):
-        return int.from_bytes(struct.pack(f">{size}{code.upper()}", *digits), "big")
     return int("".join([format(d, f"0{width}b") for d in digits]), 2)
 
 

@@ -14,17 +14,21 @@ invariant sums it against a sigma_n kernel; C_n is one monomial away.
 Every generic a_n is read off one integer.  The double twist and mirror
 torus coefficients are the known nondecreasing-chain multi-sums for these
 families, and every link weight has nonnegative coefficients, so each sum
-S(q) does too and no coefficient exceeds S(1).  With W the bit length of
-S(1), or a little more where the digits then convert in C, the same
-recursion runs once more at q = 2^W, where a weight q^e is a shift by W e
-and the q-binomials come from q-Pascal shift-adds, and the coefficients of
-S are the base-2^W digits of S(2^W), read in one pass by exactring's digit
-reader.  For a double twist knot S is the product of two entries of one
-twist column, a negative-twist entry read at q -> 1/q by reversing its
-digits; the mirror torus q-binomial depends on the prefix sum, so its
-recursion runs over the states (k, prefix).  The torus knots and the
-mirrors of double twist knots are the images under q -> 1/q.  No
-polynomial in q is multiplied on any of these routes.
+S(q) does too and no coefficient exceeds S(1), known in closed form: for a
+double twist knot K(l, m) it is (|l|m)^n, and for the torus knots |a_n(1)|,
+the z^n coefficient of 1/Delta(z) with z = x + 1/x - 2.  With W the bit
+length of S(1), rounded up to a whole byte up to 64 bits, the recursion
+runs once, at q = 2^W, where a weight q^e is a shift by W e and the
+q-binomials come from q-Pascal shift-adds, and the coefficients of S are
+the base-2^W digits of S(2^W), read in one pass by exactring's digit
+reader, which checks that they sum to S(1).  For a double twist knot S is
+the product of two entries of one twist column, a negative-twist entry read
+at q -> 1/q by reversing its digits; the mirror torus q-binomial depends on
+the prefix sum, so its recursion runs over the states (k, prefix).  The
+torus knots and the mirrors of double twist knots are the images under
+q -> 1/q, read off the same digits from the top with the exponents
+negated.  No polynomial in q is multiplied or substituted on any of these
+routes.
 
 At q = e_p both sums keep memoized columns in one kernel, _chain_column:
 the sums over the chains of a given length that end at a given value k,
@@ -284,24 +288,32 @@ def _qbinomial_rows(width: int, reach: list[int]) -> Iterator[list[int]]:
         yield row
 
 
-def _read_off(value_at: Callable[[int], int], e2: int, sign: int) -> LaurentPoly:
+def _read_off(
+    value_at: Callable[[int], int], at_one: int, e2: int, sign: int, image: bool = False
+) -> LaurentPoly:
     """sign q^(e2/2) S(q) for a sum S(q) with nonnegative coefficients, from
-    value_at(W) = S(2^W), whose base-2^W digits exactring.nonnegative_digits
-    reads as the coefficients of S."""
-    digits = nonnegative_digits(value_at)
+    S(1) = at_one and value_at(W) = S(2^W), whose base-2^W digits
+    exactring.nonnegative_digits reads as the coefficients of S; with image,
+    its image sign q^(-e2/2) S(1/q) under q -> 1/q, the same digits read from
+    the top with the exponents negated."""
+    digits = nonnegative_digits(value_at, at_one)
+    if image:
+        e2, digits = -e2 - 2 * (len(digits) - 1), digits[::-1]
     return LaurentPoly(("q",), tuple([((e2 + 2 * d,), sign * c) for d, c in enumerate(digits) if c]), None)
 
 
 def _twist_chain_values(length: int, top: int, width: int) -> list[int]:
-    """[P(i, top) at q = 2^width for i = 1..length], the values at q = 1 at width 0.
+    """[P(i, top) at q = 2^width for i = 1..length].
 
     P(i, n) = sum_{k<=n} q^(k(k+1)) [n; k] P(i-1, k), P(1, n) = 1, is the
-    twist column of _TWIST.  Every weight is a shift and every q-binomial
-    [n; k] a cell of row k of the shift-add table.  The rows are read one at
-    a time, k outermost, each adding its terms to every level lowest first:
-    the entry k of a level is then complete before the level above reads
-    it, and at most two rows of the table are alive, a row and the one it is
-    built from.  The last level is kept at the top only.
+    twist column of _TWIST; at q = 1 it is i^n by the binomial theorem, so
+    the digit read needs no run at width 0.  Every weight is a shift and
+    every q-binomial [n; k] a cell of row k of the shift-add table.  The
+    rows are read one at a time, k outermost, each adding its terms to every
+    level lowest first: the entry k of a level is then complete before the
+    level above reads it, and at most two rows of the table are alive, a
+    row and the one it is built from.  The last level is kept at the top
+    only.
     """
     columns = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(1, length)]
     for k, row in enumerate(_qbinomial_rows(width, [top - b for b in range(top + 1)])):
@@ -323,26 +335,31 @@ def _double_twist_value(l: int, m: int, n: int, width: int) -> int:
     return plus[m - 1] * reversed_digits(plus[-l - 1], (-l - 1) * n * (n + 1) + 1, width)
 
 
-def _double_twist_c(knot: DoubleTwist, n: int) -> LaurentPoly:
-    """C_n of K(l, m) as a chain multi-sum, read off one integer.
+def _double_twist_c(knot: DoubleTwist, n: int, image: bool = False) -> LaurentPoly:
+    """C_n of K(l, m) as a chain multi-sum, read off one integer; with image,
+    a_n of the mirror of K(l, m), the image of a_n = (-1)^n q^(n(n+1)/2) C_n
+    under q -> 1/q, read off the same integer.
 
     For l > 0, C_n = q^n P(l, n) P(m, n); for l < 0,
     C_n = (-1)^n q^(-n(n+1)/2) P(m, n) M(-l, n)
         = (-1)^n q^((l+1/2)n(n+1)) P(m, n) R(-l, n).
     M(i, n) = P(i, n)(1/q), as [n; k](1/q) = q^(-k(n-k)) [n; k].  Every link
-    weight has nonnegative coefficients, so D does too, read off D(2^W).
+    weight has nonnegative coefficients, so D does too, read off D(2^W);
+    D(1) = (|l|m)^n, as P(i, n) = R(i, n) = i^n at q = 1.
     """
     l, m = knot.l, knot.m
     if l > 0:
         e2, sign = 2 * n, 1
     else:
         e2, sign = (2 * l + 1) * n * (n + 1), -1 if n % 2 else 1
-    return _read_off(functools.partial(_double_twist_value, l, m, n), e2, sign)
+    if image:
+        e2, sign = e2 + n * (n + 1), -sign if n % 2 else sign
+    return _read_off(functools.partial(_double_twist_value, l, m, n), abs(l * m) ** n, e2, sign, image)
 
 
 def _torus_chain_value(t: int, top: int, width: int) -> int:
     """S(2^width) for the chain sum S(q) = sum over 1 <= k_1 <= ... <= k_t = top
-    of the product of the t - 1 link weights of _torus_link; S(1) at width 0.
+    of the product of the t - 1 link weights of _torus_link.
 
     Levels go lowest first and only the level below is kept: one int per
     state (k, P), where each weight q^e is a shift by width e and each
@@ -365,8 +382,19 @@ def _torus_chain_value(t: int, top: int, width: int) -> int:
     return sum(columns[top].values())
 
 
-def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
-    """a_n of the mirror of T(2, 2t+1), as a chain multi-sum.
+def _torus_at_one(t: int, n: int) -> int:
+    """S(1) for the chain sum of _mirror_torus_a: |a_n(1)| = |b_n|, with
+    1/Delta(z) = sum_n b_n z^n for the Alexander polynomial of T(2, 2t+1)
+    in z = x + 1/x - 2, Delta(z) = sum_{j<=t} C(t+j, t-j) z^j."""
+    b = [1]
+    for i in range(1, n + 1):
+        b.append(-sum(math.comb(t + j, t - j) * b[i - j] for j in range(1, min(i, t) + 1)))
+    return abs(b[n])
+
+
+def _mirror_torus_a(t: int, n: int, ring: Optional[int], image: bool = False):
+    """a_n of the mirror of T(2, 2t+1), as a chain multi-sum, or with image
+    its image under q -> 1/q, a_n of T(2, 2t+1).
 
     a_n = (-1)^n q^(n(n+1)/2 + n + 1 - t)
           sum_{n+1 = k_t >= ... >= k_1 >= 1}
@@ -374,28 +402,28 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int]):
 
     With ring None the sum S(q) is read off the integer S(2^W) by _read_off:
     every link weight has nonnegative coefficients, so S does too, and none
-    exceeds S(1).  With ring p the sum is the sum over the prefixes of the
-    top column of _chain_column at q = e_p.  Its levels are filled here one
-    by one, lowest first: on long chains that is quicker than the column's
-    own fill of every 64th level (a_at_root(t2:400, 1, 3): 6 %).
+    exceeds S(1), which _torus_at_one gives in closed form.  With ring p the
+    sum is the sum over the prefixes of the top column of _chain_column at
+    q = e_p, and the image its Galois image zeta -> 1/zeta.  The levels are
+    filled here one by one, lowest first: on long chains that is quicker
+    than the column's own fill of every 64th level (a_at_root(t2:400, 1, 3):
+    6 %).
     """
     sign = -1 if n % 2 else 1
     top = n + 1
     shift = n * (n + 1) + 2 * (top - t)
     if ring is None:
-        return _read_off(functools.partial(_torus_chain_value, t, top), shift, sign)
+        value_at = functools.partial(_torus_chain_value, t, top)
+        return _read_off(value_at, _torus_at_one(t, n), shift, sign, image)
     _fill_below(functools.partial(_chain_column, _MIRROR_TORUS, ring), t, lambda i: range(1, top + 1))
     total = sum(_chain_column(_MIRROR_TORUS, ring, t, top).values(), CycNumber.zero(ring))
-    return total.times_zeta(shift // 2) * sign
+    total = total.times_zeta(shift // 2) * sign
+    return total.galois(-1) if image else total
 
 
 # ---------------------------------------------------------------------------
 # Habiro coefficients
 # ---------------------------------------------------------------------------
-
-
-def _q_inverted(f: LaurentPoly) -> LaurentPoly:
-    return f.substitute("q", new_var="q", exp2=-2)
 
 
 def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
@@ -430,8 +458,8 @@ def habiro_a(knot: KnotSpec, n: int) -> LaurentPoly:
 
     Every generic a_n is read off one integer: the double twist and mirror
     torus chain sums at q = 2^W (for a double twist knot through C_n, one
-    monomial away), and the other two shapes are their images under
-    q -> 1/q.
+    monomial away), whose digits read from the top give the other two
+    shapes, the images under q -> 1/q.
     """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
@@ -439,11 +467,11 @@ def habiro_a(knot: KnotSpec, n: int) -> LaurentPoly:
         sign = -1 if n % 2 else 1
         return _q(n * (n + 1), sign) * habiro_c(knot, n)
     if isinstance(knot, TorusTwoStrand):
-        return _q_inverted(_mirror_torus_a(knot.t, n, None))
+        return _mirror_torus_a(knot.t, n, None, image=True)
     if isinstance(knot, Mirror):
         if isinstance(knot.inner, TorusTwoStrand):
             return _mirror_torus_a(knot.inner.t, n, None)
-        return _q_inverted(habiro_a(knot.inner, n))
+        return _double_twist_c(knot.inner, n, image=True)
     raise ValueError(f"unsupported knot spec {knot!r}")
 
 
@@ -471,7 +499,7 @@ def a_at_root(knot: KnotSpec, n: int, p: int) -> CycNumber:
     if isinstance(knot, DoubleTwist):
         return _twist_a(knot, n, p)
     if isinstance(knot, TorusTwoStrand):
-        return _mirror_torus_a(knot.t, n, p).galois(-1)
+        return _mirror_torus_a(knot.t, n, p, image=True)
     if isinstance(knot, Mirror):
         if isinstance(knot.inner, TorusTwoStrand):
             return _mirror_torus_a(knot.inner.t, n, p)

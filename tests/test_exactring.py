@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycloknot import exactring
 from cycloknot.exactring import (
     CycNumber,
     InexactDivisionError,
     LaurentPoly,
     _CAST_CODES,
     _PACK_MIN_PAIRS,
+    _digit_rows,
     _digit_width,
     _kronecker_mul,
     _pack,
@@ -609,9 +612,13 @@ class TestPackedProduct:
         assert f * g == LaurentPoly.univar("x", {2 * 10**9 + 2: 1, 2 * 10**9: 1, 2: 1, 0: 1})
 
 
-# Digit widths in bits: 8, 16, 32 and 64 convert in C, the others (whole
-# bytes or not, narrow or past 64 bits) are sliced from the binary digits.
+# Digit widths in bits: whole bytes up to 64 convert in C (24 by way of
+# 8-byte slots), the others (narrow, not whole bytes or past 64 bits) are
+# sliced from the binary digits.
 _DIGIT_WIDTHS = [2, 5, 8, 16, 24, 32, 41, 64, 72, 100]
+# Every width _digit_width gives for 1 to 80 bits: the whole bytes up to 64,
+# then each bit count itself.
+_READER_WIDTHS = sorted({_digit_width(bits) for bits in range(1, 81)})
 
 
 @st.composite
@@ -644,22 +651,56 @@ class TestDigitReader:
         value = sum(d << width * k for k, d in enumerate(digits))
         assert _unpack(value, len(digits), width, signed=False) == digits
 
+    @pytest.mark.parametrize("width", _READER_WIDTHS)
+    def test_round_trips_at_every_reader_width(self, width):
+        # signed rows and unsigned digits, extremes included, at every width
+        # the library reads: 24, 40, 48 and 56 bits go through 8-byte slots
+        rng = random.Random(width)
+        top = 2 ** (width - 1) - 1
+        digits = [top, -top, 0, 1, -1, top, 0] + [rng.randint(-top, top) for _ in range(40)]
+        rows = [digits, digits[::-1]]
+        value = _pack(rows, width)
+        assert value == sum(d << width * k for k, d in enumerate(digits + digits[::-1]))
+        assert [list(row) for row in _digit_rows(value, len(digits), 2, width)] == rows
+        assert _unpack(value, 2 * len(digits), width) == digits + digits[::-1]
+        unsigned = [d % 2**width for d in digits]
+        value = sum(d << width * k for k, d in enumerate(unsigned))
+        assert _unpack(value, len(unsigned), width, signed=False) == unsigned
+
     @pytest.mark.parametrize(
         "coeffs",
         [[], [1], [0, 0, 7], [3, 0, 255, 1], [2**40, 5, 2**40], [2**70, 0, 1], [1] * 300],
     )
     def test_nonnegative_digits_read_a_polynomial_off_its_integer_points(self, coeffs):
-        # S(1) bounds every coefficient, so the width read at q = 1 holds each digit
+        # S(1) bounds every coefficient, so the width read off S(1) holds
+        # each digit, and the polynomial is evaluated once
         calls = []
 
         def value_at(width):
             calls.append(width)
             return sum(c << width * k for k, c in enumerate(coeffs))
 
-        assert nonnegative_digits(value_at) == coeffs
-        assert calls == [0, _digit_width(sum(coeffs).bit_length())]
+        assert nonnegative_digits(value_at, sum(coeffs)) == coeffs
+        assert calls == [_digit_width(sum(coeffs).bit_length())]
 
-    @pytest.mark.parametrize("width", [3, 8, 13, 16, 32, 64, 65])
+    def test_nonnegative_digits_raise_on_a_wrong_s1_or_width(self, monkeypatch):
+        # S(1) = 2^21 + 2 gives 24-bit digits; the digits sum to S(1) only
+        # when none overflowed, so an S(1) one off, or 16-bit digits, which
+        # carry out of the 2^20 ones, raise instead of reading wrong digits
+        coeffs = [2**20, 3, 2**20 - 1]
+
+        def value_at(width):
+            return sum(c << width * k for k, c in enumerate(coeffs))
+
+        assert nonnegative_digits(value_at, sum(coeffs)) == coeffs
+        for at_one in (sum(coeffs) - 1, sum(coeffs) + 1):
+            with pytest.raises(ArithmeticError):
+                nonnegative_digits(value_at, at_one)
+        monkeypatch.setattr(exactring, "_digit_width", lambda bits, width=_digit_width: width(bits) - 8)
+        with pytest.raises(ArithmeticError):
+            nonnegative_digits(value_at, sum(coeffs))
+
+    @pytest.mark.parametrize("width", [3, 8, 13, 16, 24, 32, 40, 56, 64, 65])
     def test_reversed_digits(self, width):
         # the digits 5, 0, 1, 2**width - 1, 0 read from the top: the zero top
         # digit, inside size, becomes the bottom one
@@ -674,10 +715,11 @@ class TestDigitReader:
         assert reversed_digits(12345, 7, 0) == 12345
 
     def test_digit_widths(self):
-        # the next C width when it is at most 8 bits wider, else the bits
+        # the next whole byte up to 64 bits, else the bits themselves
         assert sorted(_CAST_CODES) == [8, 16, 32, 64]
         bits = (0, 1, 8, 9, 16, 17, 23, 24, 33, 55, 56, 64, 65, 72)
-        assert [_digit_width(b) for b in bits] == [8, 8, 8, 16, 16, 17, 23, 32, 33, 55, 64, 64, 65, 72]
+        assert [_digit_width(b) for b in bits] == [8, 8, 8, 16, 16, 24, 24, 24, 40, 56, 56, 64, 65, 72]
+        assert _READER_WIDTHS == [8, 16, 24, 32, 40, 48, 56, 64, *range(65, 81)]
 
 
 def per_pair_reduced_mul(f, g):

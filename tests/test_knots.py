@@ -262,16 +262,16 @@ def _column_product_a(knot: DoubleTwist, n: int) -> LaurentPoly:
 
 @pytest.mark.parametrize("spec", ["dt:2,2", "dt:-2,3"])
 def test_double_twist_a_is_the_column_product_at_every_digit_width(spec):
-    # the integer route reads digits of 8, 16, 32 and 64 bits in C and
-    # slices the other widths, below 64 bits and past it; n = 36 and 40 have
-    # coefficients past 2^64
+    # the integer route reads whole-byte digits up to 64 bits in C, those of
+    # 3 and 7 bytes through 8-byte slots, and slices the widths past 64
+    # bits; n = 36 and 40 have coefficients past 2^64
     K = parse_knot(spec)
     widths = set()
     for n in (3, 4, 8, 12, 20, 24, 28, 36, 40):
         widths.add(_digit_width(knots._double_twist_value(K.l, K.m, n, 0).bit_length()))
         a = habiro_a(K, n)
         assert a == _column_product_a(K, n), (spec, n)
-    assert {8, 16, 32, 64} < widths and min(widths - {8, 16, 32, 64}) < 64 < max(widths), widths
+    assert {8, 16, 24, 32, 56, 64} < widths and max(widths) > 64, widths
     assert max(abs(c) for _, c in a.terms) > 2**64
 
 
@@ -284,6 +284,53 @@ def test_one_digit_chain_sums():
         assert knots._torus_chain_value(t, 1, 0) == 1, t
         assert habiro_a(parse_knot(f"!t2:{t}"), 0) == 1, t
         assert habiro_a(torus_two_strand(t), 0) == 1, t
+
+
+# Oracle: the chain sums run at width 0, that is at q = 1, for the closed
+# forms of S(1) that the integer routes read their digit width off.
+def test_twist_sum_at_one_is_the_binomial_theorem_form():
+    # l <= m, as in the canonical K(l, m)
+    for l in (-4, -3, -2, -1, 1, 2, 3, 4):
+        for m in range(max(1, l), 5):
+            for n in range(13):
+                assert knots._double_twist_value(l, m, n, 0) == (abs(l) * m) ** n, (l, m, n)
+
+
+def test_torus_sum_at_one_is_the_alexander_recurrence():
+    for t in range(1, 9):
+        for n in range(13):
+            assert knots._torus_at_one(t, n) == knots._torus_chain_value(t, n + 1, 0), (t, n)
+
+
+_SHAPES = ("dt:2,3", "dt:-2,3", "!dt:2,3", "!dt:-2,3", "t2:3", "!t2:3")
+
+
+@pytest.mark.parametrize("spec", _SHAPES)
+def test_an_s1_one_too_small_makes_the_read_raise(monkeypatch, spec):
+    # the digits of S(2^W) sum to the true S(1), so the read refuses them
+    real = knots.nonnegative_digits
+    monkeypatch.setattr(knots, "nonnegative_digits", lambda value_at, at_one: real(value_at, at_one - 1))
+    cycloknot.clear_caches()
+    with pytest.raises(ArithmeticError):
+        habiro_a(parse_knot(spec), 4)
+
+
+def test_the_generic_route_makes_no_substitution(monkeypatch):
+    # every shape is read off its integer, the images under q -> 1/q (torus
+    # knots and mirrored double twist knots) by reading its digits from the top
+    calls = []
+    real = LaurentPoly.substitute
+
+    def record(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentPoly, "substitute", record)
+    cycloknot.clear_caches()
+    for spec in _SHAPES:
+        for n in range(6):
+            habiro_a(parse_knot(spec), n)
+    assert calls == []
 
 
 # Oracle: the generic route, eval_at_root(habiro_a(K, n), p), for a_at_root,
@@ -401,7 +448,7 @@ class TestHabiroGoldens:
             assert habiro_a(K11, n) == habiro_a(barT23, n)
 
     def test_mirror_inverts_q(self):
-        for K in (K21, K2M2):
+        for K in (K21, K2M2, double_twist(-2, 3), torus_two_strand(2), torus_two_strand(3)):
             for n in range(6):
                 assert habiro_a(mirror(K), n) == habiro_a(K, n).substitute(
                     "q", new_var="q", exp2=-2

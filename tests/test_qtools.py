@@ -294,6 +294,22 @@ class TestColdCacheDepth:
             assert got[name] == oracle(20), name
 
 
+    def test_qbinomials_fill_every_8th_row(self):
+        # A cold [150; 5] recurses through fewer than 8 rows above the filled
+        # ones, one frame a row; a recursion one row at a time down from
+        # n = 150 would need about 150.
+        depth = _stack_depth()
+        cycloknot.clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = qbinomial(150, 5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got.evaluate({"q": 1}) == math.comb(150, 5)
+        gauss = math.prod(2 ** (150 - i) - 1 for i in range(5)) // math.prod(2 ** (i + 1) - 1 for i in range(5))
+        assert got.evaluate({"q": 2}) == gauss
+
     def test_residue_binomials_fill_every_32nd_row(self):
         # A cold [n0; k0] at zeta_p recurses through fewer than 32 rows above
         # the filled ones, about 2 frames a row; a recursion one row at a
