@@ -265,7 +265,52 @@ class TestBrokenPipe:
         assert err == b""
 
 
+# The compute subcommands on a double twist and a torus knot each, in text
+# and JSON, and usage errors that the program raises itself (argparse's own
+# messages vary between Python versions).
+_PINNED_COMMANDS = [
+    argv + fmt
+    for argv in (
+        ["coeffs", "--knot", "dt:-2,3", "--n", "0..4"],
+        ["coeffs", "--knot", "!t2:2", "--n", "0..6", "--p", "5"],
+        ["jones", "--knot", "t2:2", "--N", "1..3"],
+        ["ado", "--knot", "dt:1,2", "--p", "3"],
+        ["ado", "--knot", "t2:2", "--p", "5"],
+        ["wrt", "--knot", "dt:-1,2", "--p", "5"],
+        ["wrt", "--knot", "dt:-1,2", "--p", "5", "--normalized"],
+        ["wrt", "--knot", "t2:1", "--p", "3"],
+        ["wrt", "--knot", "t2:1", "--p", "3", "--normalized"],
+        ["cgp", "--knot", "dt:-1,2", "--p", "3"],
+        ["cgp", "--knot", "t2:1", "--p", "3"],
+    )
+    for fmt in ([], ["--format", "json"])
+] + [
+    ["wrt", "--knot", "!t2:2", "--p", "3"],
+    ["cgp", "--knot", "!t2:2", "--p", "3"],
+    ["coeffs", "--knot", "dt:zero,1"],
+]
+
+
 class TestDeterminism:
+    def test_compute_subcommand_streams_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for argv in _PINNED_COMMANDS:
+            code, out, err = run_capture(capsys, argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+        assert digest.hexdigest() == "4a9c919fca26281a82538928100fec20507f34fe9f25ec46edf3c8b44446aa90"
+
+    def test_unnormalizable_wrt_keeps_the_value(self, capsys, monkeypatch):
+        # no knot of the grids leaves a remainder, so the branch is forced
+        monkeypatch.setattr(cli, "normalized_wrt", lambda value, p: (value, value + 1))
+        code, out, _ = run_capture(capsys, ["wrt", "--knot", "dt:-1,1", "--p", "3", "--normalized"])
+        assert code == 0
+        assert out.splitlines() == ["WRT = -6", "{1}^2 = -5 (does not divide; value left unnormalized)"]
+        argv = ["wrt", "--knot", "dt:-1,1", "--p", "3", "--normalized", "--format", "json"]
+        code, out, _ = run_capture(capsys, argv)
+        obj = json.loads(out)
+        assert obj["normalized"] is None
+        assert obj["normalization_remainder_factor"] == {"order": 6, "coeffs": [-5, 0]}
+
     @pytest.mark.parametrize(
         "argv",
         [
