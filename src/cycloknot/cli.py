@@ -19,8 +19,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 
-from .exactring import CycNumber, LaurentPoly
 from .invariants import (
     ado,
     cgp_torus_direct,
@@ -82,14 +82,6 @@ def _check_odd_order(p: int) -> None:
         raise UsageError(f"--p must be odd and >= 3, got {p}")
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, LaurentPoly):
-        return v.render_text()
-    if isinstance(v, CycNumber):
-        return v.render()
-    return str(v)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclo-knot",
@@ -141,124 +133,88 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(args, knot: KnotSpec, fields: dict, text: Iterable[tuple[str, object]]) -> int:
+    """Print one JSON object, the command, the knot and then fields, or one
+    line "label = value" per pair of text; exit status 0.
+
+    Values print through str in text and through to_json_obj in JSON, so
+    text mode serializes no JSON.
+    """
+    if args.format == "json":
+        obj = {"command": args.command, "knot": knot_str(knot), **fields}
+        print(json.dumps(obj, indent=2, default=lambda value: value.to_json_obj()))
+    else:
+        for label, value in text:
+            print(f"{label} = {value}")
+    return 0
+
+
 def _cmd_coeffs(args) -> int:
     knot = _parse_knot_arg(args.knot)
     ns = _parse_range(args.n, minimum=0, what="--n")
     _check_root_order(args.p)
-    rows = []
-    for n in ns:
-        if args.p is not None:
-            rows.append((n, a_at_root(knot, n, args.p)))
-        else:
-            rows.append((n, habiro_a(knot, n)))
-    if args.format == "json":
-        values = [
-            {"n": n, ("a_at_root" if args.p is not None else "a"): v.to_json_obj()}
-            for n, v in rows
-        ]
-        obj = {"command": "coeffs", "knot": knot_str(knot), "p": args.p, "values": values}
-        print(json.dumps(obj, indent=2))
+    if args.p is None:
+        rows, key, suffix = [(n, habiro_a(knot, n)) for n in ns], "a", ""
     else:
-        suffix = f"(e_{args.p})" if args.p is not None else ""
-        for n, v in rows:
-            print(f"a_{n}{suffix} = {_fmt_value(v)}")
-    return 0
+        rows, key, suffix = [(n, a_at_root(knot, n, args.p)) for n in ns], "a_at_root", f"(e_{args.p})"
+    fields = {"p": args.p, "values": [{"n": n, key: v} for n, v in rows]}
+    return _write(args, knot, fields, ((f"a_{n}{suffix}", v) for n, v in rows))
 
 
 def _cmd_jones(args) -> int:
     knot = _parse_knot_arg(args.knot)
-    colors = _parse_range(args.N, minimum=1, what="--N")
-    rows = [(N, colored_jones(knot, N)) for N in colors]
-    if args.format == "json":
-        obj = {
-            "command": "jones",
-            "knot": knot_str(knot),
-            "values": [{"N": N, "jones": v.to_json_obj()} for N, v in rows],
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        for N, v in rows:
-            print(f"J_{N} = {_fmt_value(v)}")
-    return 0
+    rows = [(N, colored_jones(knot, N)) for N in _parse_range(args.N, minimum=1, what="--N")]
+    fields = {"values": [{"N": N, "jones": v} for N, v in rows]}
+    return _write(args, knot, fields, ((f"J_{N}", v) for N, v in rows))
 
 
 def _cmd_ado(args) -> int:
     knot = _parse_knot_arg(args.knot)
     _check_root_order(args.p)
-    result = ado(knot, args.p)
-    if args.format == "json":
-        obj = {
-            "command": "ado",
-            "knot": knot_str(knot),
-            "p": args.p,
-            "ado": result.poly.to_json_obj(),
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"ADO = {result.poly.render_text()}")
-    return 0
+    poly = ado(knot, args.p).poly
+    return _write(args, knot, {"p": args.p, "ado": poly}, [("ADO", poly)])
+
+
+def _zero_surgery(args, double_twist: Callable, torus: Callable) -> tuple[KnotSpec, object]:
+    """The knot of args and the invariant of its 0-surgery at the odd root
+    order --p: double_twist(knot, p) on the double twist family, torus(t, p)
+    on t2:t, and a usage error naming the subcommand on any other knot."""
+    knot = _parse_knot_arg(args.knot)
+    _check_odd_order(args.p)
+    if is_double_twist_family(knot):
+        return knot, double_twist(knot, args.p)
+    if isinstance(knot, TorusTwoStrand):
+        return knot, torus(knot.t, args.p)
+    raise UsageError(f"{args.command} supports double twist knots and t2:t, not {args.knot!r}")
 
 
 def _cmd_wrt(args) -> int:
-    knot = _parse_knot_arg(args.knot)
-    _check_odd_order(args.p)
-    if is_double_twist_family(knot):
-        value = wrt_zero(knot, args.p)
-    elif isinstance(knot, TorusTwoStrand):
-        value = wrt_torus_direct(knot.t, args.p)
-    else:
-        raise UsageError(f"wrt supports double twist knots and t2:t, not {args.knot!r}")
-    norm = factor = None
-    if args.normalized:
-        norm, factor = normalized_wrt(value, args.p)
-    if args.format == "json":
-        obj = {
-            "command": "wrt",
-            "knot": knot_str(knot),
-            "p": args.p,
-            "wrt": value.to_json_obj(),
-            "normalized": None if norm is None or factor is not None else norm.to_json_obj(),
-            "normalization_remainder_factor": None if factor is None else factor.to_json_obj(),
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"WRT = {value.render()}")
-        if args.normalized:
-            if factor is None:
-                print(f"WRT/{{1}}^2 = {norm.render()}")
-            else:
-                print(f"{{1}}^2 = {factor.render()} (does not divide; value left unnormalized)")
-    return 0
+    knot, value = _zero_surgery(args, wrt_zero, wrt_torus_direct)
+    norm, factor = normalized_wrt(value, args.p) if args.normalized else (None, None)
+    text = [("WRT", value)]
+    if factor is not None:
+        text.append(("{1}^2", f"{factor} (does not divide; value left unnormalized)"))
+    elif norm is not None:
+        text.append(("WRT/{1}^2", norm))
+    fields = {
+        "p": args.p,
+        "wrt": value,
+        "normalized": None if factor is not None else norm,
+        "normalization_remainder_factor": factor,
+    }
+    return _write(args, knot, fields, text)
 
 
 def _cmd_cgp(args) -> int:
-    knot = _parse_knot_arg(args.knot)
-    _check_odd_order(args.p)
-    if is_double_twist_family(knot):
-        result = cgp_zero(knot, args.p)
-    elif isinstance(knot, TorusTwoStrand):
-        result = cgp_torus_direct(knot.t, args.p)
-    else:
-        raise UsageError(f"cgp supports double twist knots and t2:t, not {args.knot!r}")
-    if args.format == "json":
-        obj = {
-            "command": "cgp",
-            "knot": knot_str(knot),
-            "p": args.p,
-            "numerator": result.numerator.to_json_obj(),
-            "denominator": result.denominator_tag,
-            "numerator_prefactor": result.numerator_prefactor_tag,
-            "denominator_extra": result.denominator_extra_tag,
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"numerator = {result.numerator.render_text()}")
-        print(f"denominator = {result.denominator_tag}")
-        if result.numerator_prefactor_tag:
-            print(f"numerator_prefactor = {result.numerator_prefactor_tag}")
-        if result.denominator_extra_tag:
-            print(f"denominator_extra = {result.denominator_extra_tag}")
-    return 0
+    knot, result = _zero_surgery(args, cgp_zero, cgp_torus_direct)
+    parts = {
+        "numerator": result.numerator,
+        "denominator": result.denominator_tag,
+        "numerator_prefactor": result.numerator_prefactor_tag,
+        "denominator_extra": result.denominator_extra_tag,
+    }
+    text = [(label, part) for label, part in parts.items() if part is not None]
+    return _write(args, knot, {"p": args.p, **parts}, text)
 
 
 def _cmd_verify(args) -> int:

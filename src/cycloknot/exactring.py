@@ -28,24 +28,24 @@ A product of two polynomials takes one of three shapes:
 - A one-term factor (or a scalar) is an exponent shift and a scalar
   multiply: Z and Z[zeta_m] are integral domains and a shift keeps the term
   order, so nothing is dropped or sorted.
-- Integer products of _PACK_MIN_PAIRS or more term pairs use Kronecker
-  substitution: each operand is shifted to exponent 0, its exponents are
-  divided by their common gcd, and its coefficients become balanced
-  base-2**width digits of one Python int
-  (bivariate operands row by row, with a row stride wide enough that the
-  variables never wrap into each other).  One bigint product replaces the
-  term-pair loop.  Coefficient size is unlimited.  One digit reader,
-  _unpack, reads these products and, through nonnegative_digits and
-  reversed_digits, the integer points of knots alike, with digits as wide
-  as _digit_width gives: digits of whole bytes up to 64 bits convert in C
+- Univariate integer products of _PACK_MIN_PAIRS or more term pairs use
+  Kronecker substitution: each operand is shifted to exponent 0, its
+  exponents are divided by their common gcd, and its coefficients become
+  balanced base-2**width digits of one Python int.  One bigint product
+  replaces the term-pair loop.  Coefficient size is unlimited.  One digit
+  reader, _unpack, reads these products and, through nonnegative_digits and
+  reversed_digits, the integer points of knots alike, with digits as wide as
+  _digit_width gives: digits of whole bytes up to 64 bits convert in C
   through struct (3-, 5-, 6- and 7-byte digits by way of 8-byte slots), and
   only wider digits are sliced from the binary text.
 - Every other product goes by term pairs.  Over Z[zeta_m] each pair's
   unreduced convolution is added into one power vector per product
   exponent; each vector is reduced once and dropped if it reduces to 0 (the
   coefficients are sparse in zeta, and packing zeta too was measured to be
-  slower).  Small integer products, and those whose packed layout would
-  hold more digits than there are term pairs, sum into a dict.
+  slower).  Bivariate and small integer products, and those whose packed
+  layout would hold more digits than there are term pairs, sum into a dict:
+  no product of two bivariate operands this large is made (the Pochhammer
+  and sigma tables are built by shifted row additions).
 
 A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
 shift; such units are found through a memoized reverse index of the reduced
@@ -592,31 +592,19 @@ _PACK_MIN_PAIRS = 40
 
 
 def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
-    """Canonical terms of the product of two canonical integer term tuples.
+    """Canonical terms of the product of two nonempty canonical univariate
+    integer term tuples.
 
     Returns None when the packed layout would have more digits than there
     are term pairs, so that the caller multiplies term by term instead.
     """
-    if not t1 or not t2:
-        return ()
-    # per variable: shift to exponent 0 and divide by the common gcd
-    lows, steps, red1, red2 = [], [], [], []
-    for col1, col2 in zip(zip(*(e for e, _ in t1)), zip(*(e for e, _ in t2))):
-        lo1, lo2 = min(col1), min(col2)
-        step = math.gcd(*[x - lo1 for x in col1], *[x - lo2 for x in col2]) or 1
-        red1.append([(x - lo1) // step for x in col1])
-        red2.append([(x - lo2) // step for x in col2])
-        lows.append(lo1 + lo2)
-        steps.append(step)
-    k1, k2 = red1[-1], red2[-1]
-    stride = 1
-    if len(lows) == 2:
-        # rows of the second variable, wide enough for the product's span,
-        # so that the two variables never wrap into each other
-        stride = max(k1) + max(k2) + 1
-        k1 = [i * stride + j for i, j in zip(red1[0], k1)]
-        k2 = [i * stride + j for i, j in zip(red2[0], k2)]
-    size1, size2 = k1[-1] + 1, k2[-1] + 1
+    # shift to exponent 0 (the terms are sorted, so the lowest comes first)
+    # and divide by the common gcd
+    lo1, lo2 = t1[0][0][0], t2[0][0][0]
+    k1 = [e - lo1 for (e,), _ in t1]
+    k2 = [e - lo2 for (e,), _ in t2]
+    step = math.gcd(*k1, *k2) or 1
+    size1, size2 = k1[-1] // step + 1, k2[-1] // step + 1
     size = size1 + size2 - 1
     if size > len(t1) * len(t2):
         return None
@@ -627,15 +615,10 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
     dense1, dense2 = [0] * size1, [0] * size2
     for dense, slots, terms in ((dense1, k1, t1), (dense2, k2, t2)):
         for k, (_, c) in zip(slots, terms):
-            dense[k] = c
+            dense[k // step] = c
     digits = _unpack(_pack((dense1,), width) * _pack((dense2,), width), size, width)
-    if len(lows) == 1:
-        lo, st = lows[0], steps[0]
-        return tuple(((lo + st * k,), c) for k, c in enumerate(digits) if c)
-    (lo0, lo1), (st0, st1) = lows, steps
-    return tuple(
-        ((lo0 + st0 * (k // stride), lo1 + st1 * (k % stride)), c) for k, c in enumerate(digits) if c
-    )
+    lo = lo1 + lo2
+    return tuple([((lo + step * k,), c) for k, c in enumerate(digits) if c])
 
 
 # The signed struct codes of the digit widths, in bits, that struct reads
@@ -1032,7 +1015,11 @@ class LaurentPoly(Frozen):
             terms = _shift_mul(t2, *t1[0])
         elif order is not None:
             terms = _pair_mul(t1, t2, order)
-        elif len(t1) * len(t2) < _PACK_MIN_PAIRS or (terms := _kronecker_mul(t1, t2)) is None:
+        elif (
+            len(self.variables) == 2
+            or len(t1) * len(t2) < _PACK_MIN_PAIRS
+            or (terms := _kronecker_mul(t1, t2)) is None
+        ):
             terms = _int_pair_mul(t1, t2)
         return LaurentPoly(self.variables, terms, order)
 

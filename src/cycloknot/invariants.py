@@ -13,7 +13,8 @@ are each sum_{m<p} a_m(e_p) K(m, p) (_habiro_sum, with K = sigma_at_root,
 wrt_kernel, cgp_kernel), and colored_jones sums a_n against sigma_at_color.
 The two chain multi-sums of T(2, 2t+1), the q-hypergeometric colored Jones
 and the ADO invariant, run through the unmemoized level loop
-knots._chain_levels: at generic q, and in x over Z[zeta_p] (_ado_columns).
+knots._chain_levels, at generic q and in x over Z[zeta_p] (_ado_columns),
+and are summed over the top of the chain by one Horner loop, _horner.
 This module holds no cache.
 """
 
@@ -75,16 +76,24 @@ def colored_jones_hyper_t2(t: int, N: int) -> LaurentPoly:
     (qx)^t sum_{k_t >= ... >= k_1 >= 0} (qx; q)_{k_t} x^{k_t}
     prod_{i<t} q^(k_i(k_i+1)) x^(2 k_i) [k_{i+1}; k_i]  at x = q^-N;
     the leading Pochhammer vanishes for k_t >= N, so the sum is finite.  It
-    runs in Horner form over k_t, as _ado_torus does.
+    runs in Horner form over k_t, the factor (qx; q)_{k_t} x^{k_t} growing by
+    x (1 - q^(k+1) x) from k to k + 1.
     """
     if t < 1 or N < 1:
         raise ValueError(f"need t >= 1 and N >= 1, got t={t}, N={N}")
     # the link weight q^(k(k+1)) x^(2k) [n; k] at x = q^-N
     columns = _chain_levels(t, [_q(0)] * N, lambda k, n: (2 * k * (k + 1 - 2 * N), qbinomial(n, k)))
+    return _q(2 * t * (1 - N)) * _horner(columns, lambda k: _q(-2 * N) - _q(2 * (k + 1 - 2 * N)))
+
+
+def _horner(columns: list[LaurentPoly], step: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """sum_k columns[k] step(0) step(1) ... step(k-1), in Horner form: H = columns[-1],
+    then H <- columns[k] + H step(k) for k = len(columns) - 2 down to 0.  Both
+    torus sums, the hyper-Jones and the ADO, run through this one loop."""
     total = columns[-1]
-    for k in range(N - 2, -1, -1):
-        total = columns[k] + total * (_q(-2 * N) - _q(2 * (k + 1 - 2 * N)))
-    return _q(2 * t * (1 - N)) * total
+    for k in range(len(columns) - 2, -1, -1):
+        total = columns[k] + total * step(k)
+    return total
 
 
 def check_torus_recurrence(
@@ -161,12 +170,10 @@ def _ado_columns(t: int, p: int, tops: int) -> list[LaurentPoly]:
 
 
 def _ado_torus(t: int, p: int) -> LaurentPoly:
-    """x^(t(1-p)) zeta_p^t sum_{k<p} A(t, k) x^k (x; zeta_p)_k, in Horner form: H = A(t, p-1),
-    then H <- A(t, k) + x (1 - zeta_p^(k+1) x) H for k = p-2 down to 0."""
+    """x^(t(1-p)) zeta_p^t sum_{k<p} A(t, k) x^k (x; zeta_p)_k, in Horner form
+    with the step x (1 - zeta_p^(k+1) x) from k to k + 1."""
     columns = _ado_columns(t, p, p)
-    total = columns[-1]
-    for k in range(p - 2, -1, -1):
-        total = columns[k] + total * LaurentPoly.univar("x", {2: 1, 4: -zeta(p, k + 1)}, p)
+    total = _horner(columns, lambda k: LaurentPoly.univar("x", {2: 1, 4: -zeta(p, k + 1)}, p))
     return total * LaurentPoly.univar("x", {2 * t * (1 - p): zeta(p, t)})
 
 

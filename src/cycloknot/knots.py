@@ -32,16 +32,17 @@ routes.
 
 At q = e_p both sums keep memoized columns in one kernel, _chain_column:
 the sums over the chains of a given length that end at a given value k,
-one element of Z[zeta_p] per prefix sum, keyed by a link rule's name and
-the root order.  The twist rule keeps every chain at prefix 0, and a
-negative twist reads its column's Galois image zeta -> 1/zeta; the mirror
-torus rule is the rule of the integer route.  A column depends neither on
-the index n nor on the knot's parameters, so a_0, ..., a_N, and knots
-whose chains share a prefix, share one set of columns, and columns are
-filled from below, lowest level first, so chains of any length need no
-deep recursion.  The chain sums whose values are polynomials, the
-hyper-Jones and ADO sums of invariants and the tests' generic twist
-columns, run through one unmemoized level loop, _chain_levels.
+one element of Z[zeta_p] per prefix sum, keyed by the link function
+(_twist_link or _torus_link) and the root order.  The twist link keeps
+every chain at prefix 0, and a negative twist reads its column's Galois
+image zeta -> 1/zeta; the mirror torus link is the link of the integer
+route.  A column depends neither on the index n nor on the knot's
+parameters, so a_0, ..., a_N, and knots whose chains share a prefix, share
+one set of columns, and columns are filled from below, lowest level first,
+so chains of any length need no deep recursion.  The chain sums whose
+values are polynomials, the hyper-Jones and ADO sums of invariants and the
+tests' generic twist columns, run through one unmemoized level loop,
+_chain_levels.
 
 a_at_root computes a_n(e_p) in Z[zeta_p] throughout: it reads the chain
 columns in the ring p, where each column entry is one element of Z[zeta_p]
@@ -219,49 +220,41 @@ def _torus_link(i: int, k: int, j: int, prefix: int) -> tuple[int, int, int, int
     """(top, low, e, prefix + j): the mirror torus link j = k_{i-1} <= k = k_i
     after the prefix P' = k_1 + ... + k_{i-2} has the weight q^e [top; low],
     q^(j^2) [k + j - i + 1 + 2P'; k - j], and leads to the prefix P' + j.
-    Both torus routes, at q = 2^W and at q = e_p, read this one rule."""
+    Both torus routes, at q = 2^W and at q = e_p, read this one link."""
     return k + j - i + 1 + 2 * prefix, k - j, j * j, prefix + j
 
 
-# The link rules of the chain columns at q = e_p, named so that a column's
-# memo key holds no function (the benchmark tracer rebinds those): _TWIST,
-# q^(k(k+1)) [n; k] at prefix 0, and _MIRROR_TORUS, the rule of _torus_link.
-_TWIST = "twist"
-_MIRROR_TORUS = "mirror torus"
-
-
-def _link(rule: str, i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int]:
-    """(top, low, e, after): under rule, the link k = k_(i-1) <= n = k_i after
-    the prefix has the weight q^e [top; low] and leads to the prefix after."""
-    if rule == _MIRROR_TORUS:
-        return _torus_link(i, n, k, prefix)
+def _twist_link(i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int]:
+    """(n, k, k(k+1), prefix): the twist link k = k_(i-1) <= n = k_i has the
+    weight q^(k(k+1)) [n; k] and keeps the prefix, so a twist chain stays at prefix 0."""
     return n, k, k * (k + 1), prefix
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_column(rule: str, p: int, length: int, n: int) -> dict[int, CycNumber]:
+def _chain_column(link: Callable, p: int, length: int, n: int) -> dict[int, CycNumber]:
     """{P: C(length, n, P)} at q = e_p, one element of Z[zeta_p] per prefix P.
 
     C(length, n, P) is the sum over the chains k_1 <= ... <= k_length = n,
-    with k_1 >= 1 for the mirror torus and k_1 >= 0 for a twist, whose links
-    lead to the prefix P, of the products of the link weights of _link, with
-    the q-binomials taken at the root (their zeros skipped); C(1, n, 0) = 1.
-    A twist chain stays at prefix 0.  Each prefix's terms are added into
-    one vector of the p powers of zeta_p and reduced once.  A column does not
-    depend on any bound on the chain, so every top n, and every knot of a
-    shape, shares it; a negative twist reads its Galois image.
+    with k_1 >= 1 for _torus_link and k_1 >= 0 for _twist_link, whose links
+    lead to the prefix P, of the products of the weights q^e [top; low] that
+    link(i, k_i, k_(i-1), prefix) gives as (top, low, e, after), with the
+    q-binomials taken at the root (their zeros skipped); C(1, n, 0) = 1.
+    Each prefix's terms are added into one vector of the p powers of zeta_p
+    and reduced once.  A column does not depend on any bound on the chain,
+    so every top n, and every knot of a shape, shares it; a negative twist
+    reads its Galois image.
     """
     if length == 1:
         return {0: CycNumber.from_int(p, 1)}
-    low = 1 if rule == _MIRROR_TORUS else 0
+    low = 1 if link is _torus_link else 0
     # Every 64th level is filled, so a cold column recurses through fewer
     # than 64 levels, and the fill that each new column starts with costs
     # length/64 lookups per key rather than length.
-    _fill_below(functools.partial(_chain_column, rule, p), length, lambda i: range(low, n + 1), 64)
+    _fill_below(functools.partial(_chain_column, link, p), length, lambda i: range(low, n + 1), 64)
     parts: dict[int, list[int]] = {}
     for k in range(low, n + 1):
-        for prefix, value in _chain_column(rule, p, length - 1, k).items():
-            b_top, b_low, e, after = _link(rule, length, n, k, prefix)
+        for prefix, value in _chain_column(link, p, length - 1, k).items():
+            b_top, b_low, e, after = link(length, n, k, prefix)
             if binom := qbinomial_at_root(b_top, b_low, p):
                 acc = parts[after] if after in parts else parts.setdefault(after, [0] * p)
                 for i, c in enumerate((binom * value).coeffs, e):
@@ -306,7 +299,7 @@ def _twist_chain_values(length: int, top: int, width: int) -> list[int]:
     """[P(i, top) at q = 2^width for i = 1..length].
 
     P(i, n) = sum_{k<=n} q^(k(k+1)) [n; k] P(i-1, k), P(1, n) = 1, is the
-    twist column of _TWIST; at q = 1 it is i^n by the binomial theorem, so
+    twist column of _twist_link; at q = 1 it is i^n by the binomial theorem, so
     the digit read needs no run at width 0.  Every weight is a shift and
     every q-binomial [n; k] a cell of row k of the shift-add table.  The
     rows are read one at a time, k outermost, each adding its terms to every
@@ -415,8 +408,8 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int], image: bool = False):
     if ring is None:
         value_at = functools.partial(_torus_chain_value, t, top)
         return _read_off(value_at, _torus_at_one(t, n), shift, sign, image)
-    _fill_below(functools.partial(_chain_column, _MIRROR_TORUS, ring), t, lambda i: range(1, top + 1))
-    total = sum(_chain_column(_MIRROR_TORUS, ring, t, top).values(), CycNumber.zero(ring))
+    _fill_below(functools.partial(_chain_column, _torus_link, ring), t, lambda i: range(1, top + 1))
+    total = sum(_chain_column(_torus_link, ring, t, top).values(), CycNumber.zero(ring))
     total = total.times_zeta(shift // 2) * sign
     return total.galois(-1) if image else total
 
@@ -430,11 +423,11 @@ def _twist_a(knot: DoubleTwist, n: int, p: int) -> CycNumber:
     """a_n(e_p) of a double twist knot: (-1)^n q^(n(n+1)/2) times the product of
     _double_twist_c, with P the prefix-0 entry of the twist column at q = e_p
     and M(i, n) = P(i, n)(1/q) its Galois image zeta -> 1/zeta."""
-    plus = _chain_column(_TWIST, p, knot.m, n)[0]
+    plus = _chain_column(_twist_link, p, knot.m, n)[0]
     if knot.l > 0:
         sign = -1 if n % 2 else 1
-        return (_chain_column(_TWIST, p, knot.l, n)[0] * plus).times_zeta(n * (n + 3) // 2) * sign
-    return plus * _chain_column(_TWIST, p, -knot.l, n)[0].galois(-1)
+        return (_chain_column(_twist_link, p, knot.l, n)[0] * plus).times_zeta(n * (n + 3) // 2) * sign
+    return plus * _chain_column(_twist_link, p, -knot.l, n)[0].galois(-1)
 
 
 def habiro_c(knot: KnotSpec, n: int) -> LaurentPoly:

@@ -582,15 +582,26 @@ class TestPackedProduct:
         f, g = pair
         expected = schoolbook_mul(f, g)
         assert f * g == expected
-        packed = _kronecker_mul(f.terms, g.terms)
-        if packed is not None:
-            assert packed == expected.terms
+        # the packed kernel takes nonempty univariate operands only
+        if len(f.variables) == 1 and f.terms and g.terms:
+            packed = _kronecker_mul(f.terms, g.terms)
+            if packed is not None:
+                assert packed == expected.terms
 
-    def test_dense_products_are_packed(self):
+    def test_dense_products_are_packed(self, monkeypatch):
+        import cycloknot.exactring as exactring
+
         f = LaurentPoly.univar("q", {e: e - 3 for e in range(-5, 20, 2)})
+        assert _kronecker_mul(f.terms, f.terms) == schoolbook_mul(f, f).terms
+        # a bivariate product of 21 x 21 term pairs goes pair by pair
         g = LaurentPoly.make(("x", "q"), {(a, b): 2**8000 + a - b for a in range(3) for b in range(-3, 4)})
-        for h in (f, g):
-            assert _kronecker_mul(h.terms, h.terms) == schoolbook_mul(h, h).terms
+
+        def unpacked(t1, t2):
+            raise AssertionError("bivariate operands reached the packed kernel")
+
+        monkeypatch.setattr(exactring, "_kronecker_mul", unpacked)
+        assert len(g.terms) ** 2 >= _PACK_MIN_PAIRS
+        assert g * g == schoolbook_mul(g, g)
 
     @pytest.mark.parametrize("c", [64, 100, 127, 2**62, 2**63 - 1, -(2**62)])
     def test_coefficients_at_the_digit_bound(self, c):

@@ -68,3 +68,13 @@ def test_mutation_is_caught(name, monkeypatch, capsys):
     monkeypatch.undo()
     reports = verify.run_suite(name, quick=True)
     assert reports and all(r.passed or r.params.get("exploratory") for r in reports)
+
+
+def test_one_horner_loop_serves_both_torus_sums(monkeypatch):
+    # the torus ADO and the hyper-Jones sum share invariants._horner, and
+    # each suite compares one of them with an independent route
+    # (ado_conjectural, colored_jones from habiro_a)
+    monkeypatch.setattr(invariants, "_horner", _negated(invariants._horner))
+    for name in ("thm4-vs-conj", "jones-consistency"):
+        reports = verify.run_suite(name, quick=True)
+        assert any(not r.passed and not r.params.get("exploratory") for r in reports), name

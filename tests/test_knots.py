@@ -206,7 +206,7 @@ def test_column_at_root_is_the_generic_column_at_the_root(p):
             generic = _generic_columns(link, length, 2 * p - 1)
             for n in range(2 * p):
                 expected = eval_at_root(generic[n], p)
-                at_root = knots._chain_column(knots._TWIST, p, length, n)[0].galois(galois)
+                at_root = knots._chain_column(knots._twist_link, p, length, n)[0].galois(galois)
                 assert at_root == expected, (link, length, n)
 
 
@@ -222,7 +222,7 @@ def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
             assert knots._mirror_torus_a(t, n, p) == expected, (t, n)
     for i in range(1, 5):
         for k in range(1, 7):
-            at_root = knots._chain_column(knots._MIRROR_TORUS, p, i, k)
+            at_root = knots._chain_column(knots._torus_link, p, i, k)
             oracle = chain_oracle.torus_column(i, k)
             assert set(at_root) <= set(oracle), (i, k)
             for prefix, value in oracle.items():
@@ -401,7 +401,7 @@ class TestSharedColumns:
         minus = _generic_columns(_MINUS, length, 1)[1]
         assert plus == LaurentPoly.univar("q", {4 * m: 1 for m in range(length)})
         assert minus == LaurentPoly.univar("q", {-4 * m: 1 for m in range(length)})
-        at_root = knots._chain_column(knots._TWIST, 3, length, 1)[0]
+        at_root = knots._chain_column(knots._twist_link, 3, length, 1)[0]
         assert at_root == CycNumber.from_powers(3, ((2 * m, 1) for m in range(length)))
         for spec in (f"t2:{length}", f"dt:1,{length}", f"dt:-{length},1"):
             assert habiro_a(parse_knot(spec), 0) == 1, spec
