@@ -57,6 +57,20 @@ both multiplied by the divisor's other Galois conjugates, so the divisor
 becomes its norm.  A CycNumber then divides coordinate by coordinate, and
 polynomial divisors of two or more terms, and so the cyclotomic tables, go
 through one packed kernel, _packed_div.
+
+Terms.  A univariate exponent key (e,) is shared: _key_block memoizes the
+keys of 64 consecutive exponents, so equal exponents of different
+polynomials are one object and a term costs only its pair.  Every builder
+that holds a dense coefficient row (start exponent, step, coefficients) --
+the packed product and division, the cyclotomic polynomials, the univariate
+q-tables of qtools and the integer reads of knots -- turns it into terms
+through one codec, _dense_terms, which pairs the row with its keys and drops
+its zeros in C; the shift by a one-term factor looks its exponents up in the
+same blocks.  The key memo grows with the terms built, never with the size
+of an exponent: keys are shared only when the terms are dense, their
+doubled-exponent span below four times their count, so a row or operand
+reaches at most span/64 + 2 blocks wherever it lies, and a sparse one builds
+its own keys.  clear_caches() empties the memo with every other cache.
 """
 
 from __future__ import annotations
@@ -512,7 +526,7 @@ class CycNumber(Frozen):
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "CycNumber":
-        return CycNumber(int(obj["order"]), tuple(int(c) for c in obj["coeffs"]))
+        return CycNumber(operator.index(obj["order"]), tuple(map(operator.index, obj["coeffs"])))
 
 
 def _norm_cofactor(x: Union[CycNumber, LaurentPoly]) -> Union[CycNumber, LaurentPoly]:
@@ -579,6 +593,53 @@ def _int_exact_div(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# shared exponent keys
+# ---------------------------------------------------------------------------
+
+
+_KEY_BLOCK = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _key_block(b: int) -> tuple[tuple[int], ...]:
+    """The univariate exponent keys (e,) for 64 b <= e < 64 (b + 1), built
+    once and shared by every polynomial that holds one of these exponents."""
+    return tuple(zip(range(b * _KEY_BLOCK, (b + 1) * _KEY_BLOCK)))
+
+
+def _key_run(lo: int, hi: int) -> list[tuple[int]]:
+    """The shared keys of every exponent from the start of lo's block to
+    the end of hi's, in order: the key of e is at e - lo // 64 * 64."""
+    run: list[tuple[int]] = []
+    for block in map(_key_block, range(lo // _KEY_BLOCK, hi // _KEY_BLOCK + 1)):
+        run += block
+    return run
+
+
+def _is_dense(span: int, count: int) -> bool:
+    """Whether count terms over an exponent span take shared keys: the span,
+    in doubled exponents, is below 4 count, so the blocks it reaches hold
+    fewer than 4 count + 2 * 64 keys, however far from 0 the terms lie."""
+    return span < 4 * count
+
+
+def _dense_terms(start: int, step: int, coeffs: Sequence[Coeff]) -> _Terms:
+    """The canonical univariate terms of sum(coeffs[k] v**((start + step k)/2))
+    for a step >= 1: the nonzero entries of the row with their keys, picked
+    in C.  A dense row takes its keys from the shared blocks, a sparse one
+    (like an empty or all-zero row) builds its own."""
+    nonzero = len(coeffs) - coeffs.count(0)
+    if not nonzero:
+        return ()
+    last = start + step * (len(coeffs) - 1)
+    if _is_dense(last - start, nonzero):
+        keys = _key_run(start, last)[start % _KEY_BLOCK :: step]
+    else:
+        keys = zip(range(start, last + 1, step))
+    return tuple(itertools.compress(zip(keys, coeffs), coeffs))
+
+
+# ---------------------------------------------------------------------------
 # polynomial product kernels
 # ---------------------------------------------------------------------------
 
@@ -617,8 +678,7 @@ def _kronecker_mul(t1: _IntTerms, t2: _IntTerms) -> Optional[_IntTerms]:
         for k, (_, c) in zip(slots, terms):
             dense[k // step] = c
     digits = _unpack(_pack((dense1,), width) * _pack((dense2,), width), size, width)
-    lo = lo1 + lo2
-    return tuple([((lo + step * k,), c) for k, c in enumerate(digits) if c])
+    return _dense_terms(lo1 + lo2, step, digits)
 
 
 # The signed struct codes of the digit widths, in bits, that struct reads
@@ -810,16 +870,27 @@ def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:
     Z and Z[zeta_m] are integral domains, so no coefficient vanishes, and a
     shift keeps the lexicographic order, so nothing is dropped or sorted.  A
     unit c = +-zeta**k is found once, and then shifts each coefficient's
-    powers of zeta by k instead of multiplying.
+    powers of zeta by k instead of multiplying.  Univariate terms whose
+    exponents are dense take the shared keys of the shifted exponents from
+    one run of key blocks; a coefficient times 1 is kept as it is.
     """
     if isinstance(c, CycNumber) and (unit := CycNumber._unit_exponent(c)) is not None:
         k, sign = unit
         return tuple(
             [(tuple(map(operator.add, e, shift)), _unit_times(d, c.order, k, sign)) for e, d in terms]
         )
+    if not terms:
+        return ()
     if len(shift) == 1:
         (s,) = shift
-        return tuple([((e + s,), d * c) for (e,), d in terms])
+        lo, hi = terms[0][0][0] + s, terms[-1][0][0] + s
+        if not _is_dense(hi - lo, len(terms)):
+            return tuple([((e + s,), d * c) for (e,), d in terms])
+        # the run starts at the block of lo, so the key of e + s is run[e + k]
+        run, k = _key_run(lo, hi), s - lo // _KEY_BLOCK * _KEY_BLOCK
+        if c == 1:
+            return tuple([(run[e + k], d) for (e,), d in terms])
+        return tuple([(run[e + k], d * c) for (e,), d in terms])
     s, t = shift
     return tuple([((e + s, f + t), d * c) for (e, f), d in terms])
 
@@ -914,7 +985,7 @@ class LaurentPoly(Frozen):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], Coeff] = {}
         for exps, c in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != len(vs):
                 raise ValueError(f"exponent vector {exps} does not match {vs}")
             if isinstance(c, CycNumber):
@@ -1207,7 +1278,10 @@ class LaurentPoly(Frozen):
         terms: dict[tuple[int, ...], Coeff] = {}
         for exps, c in obj["terms"]:
             coeff: Coeff = int(c) if isinstance(c, int) else CycNumber.from_json_obj(c)
-            terms[tuple(int(e) for e in exps)] = coeff
+            key = tuple(map(operator.index, exps))
+            if key in terms:
+                raise ValueError(f"exponent vector {list(key)} appears twice")
+            terms[key] = coeff
         return LaurentPoly.make(tuple(obj["vars"]), terms, obj.get("order"))
 
 
@@ -1218,8 +1292,7 @@ class LaurentPoly(Frozen):
 
 def cyclotomic_polynomial(m: int) -> LaurentPoly:
     """The m-th cyclotomic polynomial as a polynomial in t."""
-    coeffs = cyclotomic_coeffs(m)
-    return LaurentPoly.univar("t", {2 * i: c for i, c in enumerate(coeffs) if c})
+    return LaurentPoly(("t",), _dense_terms(0, 2, cyclotomic_coeffs(m)), None)
 
 
 def eval_at_root(
@@ -1307,9 +1380,6 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     cols = [(0,) * (1 if order is None else euler_phi(order))] * ((nexps[-1] - nexps[0]) // step + 1)
     for e, (_, c) in zip(nexps, num.terms):
         cols[(e - nexps[0]) // step] = (c,) if order is None else c.coeffs
-    terms = [
-        ((nexps[0] - dexps[0] + step * i,), c[0] if order is None else _cyc(order, c))
-        for i, c in enumerate(_packed_div(cols, dense))
-        if any(c)
-    ]
-    return LaurentPoly(num.variables, tuple(terms), order)
+    rows = _packed_div(cols, dense)
+    coeffs = [c for (c,) in rows] if order is None else [_cyc(order, c) for c in rows]
+    return LaurentPoly(num.variables, _dense_terms(nexps[0] - dexps[0], step, coeffs), order)

@@ -61,10 +61,20 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from typing import Callable, Iterator, Optional, Union
 
-from .exactring import CycNumber, Frozen, LaurentPoly, exact_div, nonnegative_digits, reversed_digits, zeta
+from .exactring import (
+    CycNumber,
+    Frozen,
+    LaurentPoly,
+    _dense_terms,
+    exact_div,
+    nonnegative_digits,
+    reversed_digits,
+    zeta,
+)
 from .qtools import _fill_below, _q, qbinomial, qbinomial_at_root, qpochhammer
 
 
@@ -292,7 +302,9 @@ def _read_off(
     digits = nonnegative_digits(value_at, at_one)
     if image:
         e2, digits = -e2 - 2 * (len(digits) - 1), digits[::-1]
-    return LaurentPoly(("q",), tuple([((e2 + 2 * d,), sign * c) for d, c in enumerate(digits) if c]), None)
+    if sign < 0:
+        digits = list(map(operator.neg, digits))
+    return LaurentPoly(("q",), _dense_terms(e2, 2, digits), None)
 
 
 def _twist_chain_values(length: int, top: int, width: int) -> list[int]:

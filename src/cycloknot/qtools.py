@@ -35,7 +35,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
-from .exactring import Coeff, CycNumber, LaurentPoly, zeta
+from .exactring import Coeff, CycNumber, LaurentPoly, _dense_terms, zeta
 
 
 def _q(e2: int, c: int = 1) -> LaurentPoly:
@@ -97,6 +97,8 @@ def _extend(prev: LaurentPoly, factor: tuple[tuple[int, ...], ...]) -> LaurentPo
         acc = sums[lead]
         i = (lo - spans[lead][0]) // 2
         acc[i : i + len(row)] = map(op, acc[i : i + len(row)], row)
+    if len(prev.variables) == 1:
+        return LaurentPoly(prev.variables, _dense_terms(spans[()][0], 2, sums[()]), None)
     terms = []
     for lead in sorted(sums):
         a, b = spans[lead]
@@ -115,11 +117,11 @@ def qfactorial(n: int) -> LaurentPoly:
     _fill_below(qfactorial, n)
     # [n-1]_q! has positive coefficients at every exponent from 0 to its
     # degree, and [n]_q has n coefficients 1, so the product is a width-n
-    # window sum of prefix sums, positive and in order: canonical terms
+    # window sum of prefix sums
     coeffs = [c for _, c in qfactorial(n - 1).terms] + [0] * (n - 1)
     sums = [0, *itertools.accumulate(coeffs)]
-    terms = tuple(((2 * j,), sums[j + 1] - sums[max(0, j - n + 1)]) for j in range(len(coeffs)))
-    return LaurentPoly(("q",), terms, None)
+    window = map(operator.sub, sums[1:], [0] * (n - 1) + sums[: len(coeffs) - n + 1])
+    return LaurentPoly(("q",), _dense_terms(0, 2, list(window)), None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,21 +138,13 @@ def qbinomial(n: int, k: int) -> LaurentPoly:
     # looks up n/8 rows rather than n (a cold qbinomial(100, 50): 0.48 s
     # when every row is filled, 0.32 s)
     _fill_below(qbinomial, n, lambda i: range(max(0, k - n + i), min(k, i) + 1), 8)
-    # [n-1; k-1] and [n-1; k] have positive coefficients at every exponent
-    # from 0 to their degrees (k-1)(n-k) and k(n-k-1), so [n-1; k-1] +
-    # q^k [n-1; k] is one slice add, positive from 0 to k(n-k) and in
-    # order: canonical terms
-    low, high = qbinomial(n - 1, k - 1).terms, qbinomial(n - 1, k).terms
-    a = list(map(operator.itemgetter(1), low))
-    b = list(map(operator.itemgetter(1), high))
+    # [n-1; k-1] and [n-1; k] have coefficients at every exponent from 0 to
+    # their degrees (k-1)(n-k) and k(n-k-1), so [n-1; k-1] + q^k [n-1; k]
+    # is one slice add of their coefficient rows
+    a = list(map(operator.itemgetter(1), qbinomial(n - 1, k - 1).terms))
+    b = list(map(operator.itemgetter(1), qbinomial(n - 1, k).terms))
     coeffs = a[:k] + list(map(operator.add, a[k:], b)) + b[len(a) - k :]
-    # share the longer predecessor's exponent keys: a fresh key per term
-    # raised the peak memory of qbinomial(100, 50) from 194 to 306 MB
-    longer = max(low, high, key=len)
-    keys = itertools.chain(
-        map(operator.itemgetter(0), longer), zip(range(2 * len(longer), 2 * len(coeffs), 2))
-    )
-    return LaurentPoly(("q",), tuple(zip(keys, coeffs)), None)
+    return LaurentPoly(("q",), _dense_terms(0, 2, coeffs), None)
 
 
 def qbinomial_balanced(n: int, k: int) -> LaurentPoly:

@@ -1147,3 +1147,111 @@ class TestSmallIntegerProducts:
         h = LaurentPoly.univar("q", {e: e + 1 for e in range(_PACK_MIN_PAIRS // 2)})
         assert h * two == schoolbook_mul(h, two)
         assert calls
+
+
+def listed_terms(start, step, coeffs):
+    """Labelled oracle of exactring._dense_terms: the list comprehension that
+    built the terms of a dense row, a fresh key per term."""
+    return tuple([((start + step * k,), c) for k, c in enumerate(coeffs) if c])
+
+
+def random_rows(rng, count):
+    """(start, step, coeffs) rows: negative and far starts, rows that start or
+    end on either side of a key block edge, steps 1, 2 and a gcd step, runs
+    of zeros, all-zero and empty rows."""
+    block = exactring._KEY_BLOCK
+    for i in range(count):
+        step = rng.choice((1, 2, 6))
+        near_edge = block * rng.randrange(-40, 40) + rng.randrange(-3, 4)
+        far = rng.choice((-1, 1)) * 10**7 + rng.randrange(-3, 4)
+        start = rng.choice((near_edge, rng.randrange(-500, 500), far))
+        size = rng.choice((0, 1, 2, rng.randrange(3, 300)))
+        if i % 3 == 0:
+            # the last exponent within three of a later block edge
+            edge = (start // block + rng.randrange(1, 4)) * block
+            size = max(0, (edge + rng.randrange(-3, 4) - start) // step + 1)
+        coeffs = [rng.choice((0, 0, 1, -1, rng.randrange(-(2**80), 2**80))) for _ in range(size)]
+        if size and i % 5 == 0:
+            lo = rng.randrange(size)
+            coeffs[lo : lo + rng.randrange(1, 70)] = [0] * 70  # a run of zeros
+            coeffs = coeffs[:size]
+        if i % 17 == 0:
+            coeffs = [0] * size
+        yield start, step, coeffs
+
+
+def shared_key(e):
+    return exactring._key_block(e // exactring._KEY_BLOCK)[e % exactring._KEY_BLOCK]
+
+
+class TestDenseTerms:
+    """exactring._dense_terms, the one builder of univariate terms from a row."""
+
+    def test_matches_the_list_comprehension(self):
+        rng = random.Random(27)
+        for start, step, coeffs in random_rows(rng, 600):
+            terms = exactring._dense_terms(start, step, coeffs)
+            assert terms == listed_terms(start, step, coeffs), (start, step, len(coeffs))
+            assert all(type(key) is tuple and type(c) is int for key, c in terms)
+            if step * (len(coeffs) - 1) < 4 * len(terms):
+                assert all(key is shared_key(key[0]) for key, _ in terms)
+
+    def test_cyclotomic_rows_drop_their_zeros(self):
+        row = [zeta(5, 2), CycNumber.zero(5), zeta(5) + 1, CycNumber.zero(5)]
+        assert exactring._dense_terms(-3, 2, row) == listed_terms(-3, 2, row)
+
+    def test_far_offsets_take_blocks_by_the_count_of_terms(self):
+        # a dense row reaches span / 64 + 2 blocks, and its span is below four
+        # times its terms, wherever the row starts
+        block = exactring._key_block
+        for start in (10**7, -(10**7), 10**7 + 63, -(10**7) - 1):
+            for size in (1, 2, 50, 500):
+                before = block.cache_info().currsize
+                terms = exactring._dense_terms(start, 2, [1] * size)
+                grown = block.cache_info().currsize - before
+                assert len(terms) == size
+                assert grown <= 2 * (size - 1) // exactring._KEY_BLOCK + 2 <= len(terms) + 1
+
+    def test_sparse_rows_and_operands_take_no_blocks(self):
+        block = exactring._key_block
+        before = block.cache_info().currsize
+        row = [0] * 10**5
+        row[0] = row[-1] = 7
+        assert exactring._dense_terms(-(10**5), 2, row) == ((((-(10**5),), 7), ((10**5 - 2,), 7)))
+        f = LaurentPoly.univar("q", {-(10**7): 1, 10**7: -1})
+        g = f * LaurentPoly.univar("q", {2 * 10**7 + 2: 3})
+        assert g == LaurentPoly.univar("q", {10**7 + 2: 3, 3 * 10**7 + 2: -3})
+        assert 3 * f == LaurentPoly.univar("q", {-(10**7): 3, 10**7: -3})
+        assert block.cache_info().currsize == before
+
+    def test_a_shifted_dense_polynomial_takes_the_shared_keys(self):
+        f = LaurentPoly.univar("q", {2 * e: e + 1 for e in range(-300, 300) if e % 7})
+        for shift in (-(10**7) - 5, -1, 0, 3, 10**7):
+            for c in (1, -1, 5, zeta(3) + 2):
+                g = f * LaurentPoly.univar("q", {shift: c})
+                oracle = tuple(((e + shift,), d * c) for (e,), d in f.terms)
+                assert g.terms == oracle
+                assert all(key is shared_key(key[0]) for key, _ in g.terms)
+
+
+class TestIntegerInput:
+    """Exponents and coordinates must be integers: none is truncated."""
+
+    def test_fractional_exponent_is_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly.univar("q", {2.5: 1})
+
+    def test_fractional_coordinate_is_rejected(self):
+        with pytest.raises(TypeError):
+            CycNumber.from_json_obj({"order": 3, "coeffs": [1.7, 2]})
+
+    def test_fractional_order_is_rejected(self):
+        with pytest.raises(TypeError):
+            CycNumber.from_json_obj({"order": 3.2, "coeffs": [1, 2]})
+
+    def test_repeated_exponent_in_json_is_rejected(self):
+        obj = {"vars": ["q"], "den": 2, "terms": [[[2], 1], [[2], 4]]}
+        with pytest.raises(ValueError, match="appears twice"):
+            LaurentPoly.from_json_obj(obj)
+        obj["terms"] = [[[2], 1], [[4], 4]]
+        assert LaurentPoly.from_json_obj(obj) == LaurentPoly.univar("q", {2: 1, 4: 4})

@@ -413,12 +413,24 @@ class TestSharedColumns:
         caches = _memoized_functions()
         names = (
             "knots.habiro_a", "knots.a_at_root", "knots._chain_column",
-            "qtools.qbinomial", "qtools._qbinomial_residue",
+            "qtools.qbinomial", "qtools._qbinomial_residue", "exactring._key_block",
         )
         assert {f"cycloknot.{name}" for name in names} <= set(caches)
         cycloknot.clear_caches()
         assert {name: fn.cache_info().currsize for name, fn in caches.items()} == dict.fromkeys(caches, 0)
         assert [habiro_a(K, n) for K, n in grid] == before
+
+
+def test_cached_coefficients_share_their_exponent_keys():
+    # the read off and the monomial shift of habiro_a both take the shared
+    # keys, so across the memoized a_n each exponent is one object
+    cycloknot.clear_caches()
+    keys = [key for n in range(21) for key, _ in habiro_a(K22, n).terms]
+    by_exponent: dict[tuple[int], set[int]] = {}
+    for key in keys:
+        by_exponent.setdefault(key, set()).add(id(key))
+    assert len(keys) > len(by_exponent) > 1000
+    assert all(len(ids) == 1 for ids in by_exponent.values())
 
 
 class TestHabiroGoldens:
@@ -450,6 +462,15 @@ class TestHabiroGoldens:
     def test_mirror_inverts_q(self):
         for K in (K21, K2M2, double_twist(-2, 3), torus_two_strand(2), torus_two_strand(3)):
             for n in range(6):
+                assert habiro_a(mirror(K), n) == habiro_a(K, n).substitute(
+                    "q", new_var="q", exp2=-2
+                )
+        # both directions of the read from the top, which verify does not
+        # run: the mirrors of a double twist and of a torus knot, and the
+        # images that read their own digits in order
+        for spec in ("!dt:2,3", "dt:-2,3", "t2:4", "!t2:5"):
+            K = parse_knot(spec)
+            for n in range(13):
                 assert habiro_a(mirror(K), n) == habiro_a(K, n).substitute(
                     "q", new_var="q", exp2=-2
                 )
