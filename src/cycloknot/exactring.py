@@ -20,9 +20,9 @@ fields cannot be assigned or deleted once built.  Results are reduced to a
 canonical form: no zero coefficients, terms sorted by exponent vector,
 cyclotomic residues fully reduced.
 
-Kernels.  Every reduction modulo the m-th cyclotomic polynomial goes through
-_reduce, which maps an unreduced vector of powers of zeta to the canonical
-basis with a memoized sparse table of the residues of zeta**e, e >= phi(m).
+Kernels.  Each cyclotomic order m keeps one table, _reduction_rows, of the
+nonzero coordinates of each residue of zeta**e, e >= phi(m): _reduce (the
+one reduction modulo Phi_m), zeta and the units' reverse index read it.
 A product of two polynomials takes one of three shapes:
 
 - A one-term factor (or a scalar) is an exponent shift and a scalar
@@ -47,16 +47,17 @@ A product of two polynomials takes one of three shapes:
   no product of two bivariate operands this large is made (the Pochhammer
   and sigma tables are built by shifted row additions).
 
-A power of a unit +-zeta**k, and CycNumber.exact_div by one, is an index
-shift; such units are found through a memoized reverse index of the reduced
-powers of zeta.  Every other power, of either type, is the one
-square-and-multiply loop _power over the bits of n from the top: w**1 takes
-no product and w**4 two.  Every other division, of either type, is made
-integral first: a non-integer divisor in Z[zeta_m] and the dividend are
-both multiplied by the divisor's other Galois conjugates, so the divisor
-becomes its norm.  A CycNumber then divides coordinate by coordinate, and
-polynomial divisors of two or more terms, and so the cyclotomic tables, go
-through one packed kernel, _packed_div.
+A product by a unit +-zeta**k (times_zeta, a power of or a division by the
+unit, a polynomial times it) is one rotation and reduction, _unit_times.
+Such units are found through a memoized reverse index of the table's rows.
+Every other power, of either type, is the one square-and-multiply loop
+_power over the bits of n from the top: w**1 takes no product and w**4 two.
+Every other division, of either type, is made integral first: a non-integer
+divisor in Z[zeta_m] and the dividend are both multiplied by the divisor's
+other Galois conjugates, so the divisor becomes its norm.  A CycNumber then
+divides coordinate by coordinate, and polynomial divisors of two or more
+terms, and so the cyclotomic tables, go through one packed kernel,
+_packed_div.
 
 Terms.  A univariate exponent key (e,) is shared: _key_block memoizes the
 keys of 64 consecutive exponents, so equal exponents of different
@@ -119,29 +120,24 @@ def euler_phi(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e is the residue of zeta_m**e in the basis 1, zeta, ..., zeta**(phi-1)."""
-    phi_coeffs = cyclotomic_coeffs(m)
-    deg = len(phi_coeffs) - 1
-    rows = []
-    cur = [1] + [0] * (deg - 1)
-    for _ in range(m):
-        rows.append(tuple(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for i in range(deg):
-                cur[i] -= top * phi_coeffs[i]
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row e - phi(m) lists the nonzero (i, c) of the residue of zeta_m**e, for
-    phi(m) <= e < max(m, 2 phi(m) - 1): the longest buffer given to _reduce."""
-    rows, phi = _power_rows(m), euler_phi(m)
-    ends = range(phi, max(m, 2 * phi - 1))
-    return tuple(tuple((i, c) for i, c in enumerate(rows[e % m]) if c) for e in ends)
+    phi(m) <= e < max(m, 2 phi(m) - 1): the longest buffer given to _reduce.
+
+    Each residue is the one before times zeta, built dense and kept sparse:
+    the coordinates move up one, and a top coordinate c that leaves the
+    basis comes back as -c times the lower coefficients of Phi_m.
+    """
+    phi, rows = euler_phi(m), []
+    low = _nonzero(cyclotomic_coeffs(m)[:phi])
+    cur = [0] * (phi - 1) + [1]  # zeta**(phi-1)
+    for _ in range(phi, max(m, 2 * phi - 1)):
+        top, cur = cur[-1], [0] + cur[:-1]
+        if top:
+            for i, c in low:
+                cur[i] -= top * c
+        rows.append(tuple(_nonzero(cur)))
+    return tuple(rows)
 
 
 def _reduce(m: int, powers: list[int]) -> tuple[int, ...]:
@@ -160,9 +156,9 @@ def _reduce(m: int, powers: list[int]) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def _nonzero(coords: Iterable[int]) -> list[tuple[int, int]]:
-    """The (index, coordinate) pairs of the nonzero coordinates."""
-    return [(i, c) for i, c in enumerate(coords) if c]
+def _nonzero(coords: Sequence[int]) -> list[tuple[int, int]]:
+    """The (index, coordinate) pairs of the nonzero coordinates, picked in C."""
+    return list(itertools.compress(enumerate(coords), coords))
 
 
 def _convolve_into(acc: list[int], a: list[tuple[int, int]], b: list[tuple[int, int]]) -> None:
@@ -173,13 +169,14 @@ def _convolve_into(acc: list[int], a: list[tuple[int, int]], b: list[tuple[int, 
 
 
 @functools.lru_cache(maxsize=None)
-def _power_index(m: int) -> dict[tuple[int, ...], int]:
-    """Reverse index of _power_rows(m): the residue of zeta_m**e maps to e.
-
-    Only the powers +zeta**e are stored; look up -u as well to recognize
-    -zeta**e, which for odd m is not itself a power of zeta.
-    """
-    return {row: e for e, row in enumerate(_power_rows(m))}
+def _power_index(m: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """Reverse index of the residues of zeta_m**e, e < m, keyed by their
+    nonzero (i, c): ((e, 1),) below phi(m), the reduction row above.  Look up
+    -u as well to recognize -zeta**e, which for odd m is no power of zeta."""
+    phi = euler_phi(m)
+    index = {((e, 1),): e for e in range(phi)}
+    index.update(zip(_reduction_rows(m)[: m - phi], range(phi, m)))
+    return index
 
 
 def _power(base, n: int, one):
@@ -358,14 +355,14 @@ class CycNumber(Frozen):
 
     def times_zeta(self, k: int) -> "CycNumber":
         """self * zeta**k, as the power vector rotated by k and reduced once: no product."""
-        return _unit_times(self, self.order, k % self.order, 1)
+        return _unit_times(self, self.order, k, 1)
 
     def __pow__(self, n: int) -> "CycNumber":
         unit = self._unit_exponent(self)
         if unit is not None:
             # (sign * zeta**k)**n is one index shift, for either sign of n
             k, sign = unit
-            return CycNumber.from_powers(self.order, ((k * n, -1 if sign < 0 and n % 2 else 1),))
+            return _unit_times(1, self.order, k * n, sign if n % 2 else 1)
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self, n, CycNumber.from_int(self.order, 1))
@@ -415,9 +412,7 @@ class CycNumber(Frozen):
             unit = self._unit_exponent(other)
             if unit is not None:
                 k, sign = unit
-                return CycNumber.from_powers(
-                    self.order, ((i - k, sign * c) for i, c in enumerate(self.coeffs))
-                )
+                return _unit_times(self, self.order, -k, sign)
             cofactor = _norm_cofactor(other)
             num, other = self * cofactor, other * cofactor
         d = other.as_int()
@@ -426,11 +421,11 @@ class CycNumber(Frozen):
     @staticmethod
     def _unit_exponent(u: "CycNumber") -> Optional[tuple[int, int]]:
         """(k, sign) with u == sign * zeta**k, or None when u is no such unit."""
-        index = _power_index(u.order)
-        k = index.get(u.coeffs)
+        index, key = _power_index(u.order), tuple(_nonzero(u.coeffs))
+        k = index.get(key)
         if k is not None:
             return k, 1
-        k = index.get(tuple(-c for c in u.coeffs))
+        k = index.get(tuple([(i, -c) for i, c in key]))
         return None if k is None else (k, -1)
 
     def inverse(self) -> "CycNumber":
@@ -551,8 +546,13 @@ def _cyc(order: int, coeffs: tuple[int, ...]) -> CycNumber:
 
 
 def zeta(order: int, k: int = 1) -> CycNumber:
-    """zeta_order**k, the standard primitive root when k = 1."""
-    return _cyc(order, _power_rows(order)[k % order])
+    """zeta_order**k, the standard primitive root when k = 1: a basis vector
+    below phi(order), a row of the reduction table above."""
+    k, phi = k % order, euler_phi(order)
+    coeffs = [0] * phi
+    for i, c in _reduction_rows(order)[k - phi] if k >= phi else ((k, 1),):
+        coeffs[i] = c
+    return _cyc(order, tuple(coeffs))
 
 
 Coeff = Union[int, CycNumber]
@@ -896,9 +896,11 @@ def _shift_mul(terms: _Terms, shift: tuple[int, ...], c: Coeff) -> _Terms:
 
 
 def _unit_times(d: Coeff, m: int, k: int, sign: int) -> CycNumber:
-    """sign * zeta_m**k * d, for 0 <= k < m: d's power vector rotated by k and reduced once."""
+    """sign * zeta_m**k * d, the one product by a unit: d's power vector
+    rotated by k mod m and reduced once."""
     if isinstance(d, int):
         d = CycNumber.from_int(m, d)
+    k %= m
     if k == 0 and sign == 1:
         return d
     coeffs = d.coeffs

@@ -144,7 +144,7 @@ def ado(knot: KnotSpec, p: int) -> AdoPoly:
     if p < 1:
         raise ValueError(f"root order must be >= 1, got {p}")
     if isinstance(knot, Mirror):
-        return AdoPoly(knot, p, ado(knot.inner, p).poly.galois(-1 % p if p > 1 else 1))
+        return AdoPoly(knot, p, ado(knot.inner, p).poly.galois(-1))
     if isinstance(knot, TorusTwoStrand):
         return AdoPoly(knot, p, _ado_torus(knot.t, p))
     return AdoPoly(knot, p, _habiro_sum(sigma_at_root, knot, p, LaurentPoly.zero(("x",), p)))

@@ -409,10 +409,7 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int], image: bool = False):
     every link weight has nonnegative coefficients, so S does too, and none
     exceeds S(1), which _torus_at_one gives in closed form.  With ring p the
     sum is the sum over the prefixes of the top column of _chain_column at
-    q = e_p, and the image its Galois image zeta -> 1/zeta.  The levels are
-    filled here one by one, lowest first: on long chains that is quicker
-    than the column's own fill of every 64th level (a_at_root(t2:400, 1, 3):
-    6 %).
+    q = e_p, and the image its Galois image zeta -> 1/zeta.
     """
     sign = -1 if n % 2 else 1
     top = n + 1
@@ -420,7 +417,6 @@ def _mirror_torus_a(t: int, n: int, ring: Optional[int], image: bool = False):
     if ring is None:
         value_at = functools.partial(_torus_chain_value, t, top)
         return _read_off(value_at, _torus_at_one(t, n), shift, sign, image)
-    _fill_below(functools.partial(_chain_column, _torus_link, ring), t, lambda i: range(1, top + 1))
     total = sum(_chain_column(_torus_link, ring, t, top).values(), CycNumber.zero(ring))
     total = total.times_zeta(shift // 2) * sign
     return total.galois(-1) if image else total

@@ -1130,6 +1130,47 @@ class TestCyclotomicTables:
         assert zeta(m, k) == CycNumber.from_powers(m, {k: 1})
         assert zeta(m, k).coeffs == CycNumber.from_powers(m, {k: 1}).coeffs
 
+    @pytest.mark.parametrize("m", [*range(1, 41), 120, 280, 728])
+    def test_table_oracle_against_sympy(self, m):
+        # The oracle of the table of reduced powers of zeta_m: sympy's
+        # remainder of t**e modulo Phi_m, for every e < m, owes nothing to
+        # exactring, whose zeta, unit index, unit quotients and unit powers
+        # all read that one table.
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.densearith import dup_rem
+
+        t, phi = sympy.Symbol("t"), euler_phi(m)
+        modulus = [sympy.ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(m, t), t).all_coeffs()]
+        residues = []
+        for e in range(m):
+            rem = [int(c) for c in reversed(dup_rem([sympy.ZZ(1)] + [sympy.ZZ(0)] * e, modulus, sympy.ZZ))]
+            residues.append(tuple(rem) + (0,) * (phi - len(rem)))
+
+        def oracle(powers):
+            """sum(c * zeta_m**e) over the (e, c) pairs, through sympy's residues."""
+            return tuple(map(sum, zip(*[[c * x for x in residues[e % m]] for e, c in powers])))
+
+        for e in range(-m, 2 * m):
+            assert zeta(m, e).coeffs == residues[e % m], e
+        units = {residues[e] for e in range(m)} | {tuple(-x for x in r) for r in residues}
+        a = 3 - 2 * zeta(m) + 5 * zeta(m, m // 2 + 1)
+        for e in range(m):
+            for sign in (1, -1):
+                u = sign * zeta(m, e)
+                k, s = CycNumber._unit_exponent(u)
+                assert s * zeta(m, k) == u, (e, sign)
+                if e % max(1, m // 40):
+                    continue
+                assert a.exact_div(u).coeffs == oracle([(i - e, sign * c) for i, c in enumerate(a.coeffs)])
+                assert (a * u).exact_div(u) == a
+                for n in range(-3, 4):
+                    assert (u**n).coeffs == oracle([(e * n, sign**abs(n))]), (e, sign, n)
+                    assert u**n == repeated_power(u, n), (e, sign, n)
+        brace = zeta(m) - zeta(m, -1)
+        for x in (CycNumber.zero(m), CycNumber.from_int(m, 2), 1 + zeta(m), brace * brace):
+            # 1 + zeta_3 = -zeta_3**2 and {1}**2 = -1 at m = 12 are units
+            assert (CycNumber._unit_exponent(x) is None) == (x.coeffs not in units), x
+
 
 class TestSmallIntegerProducts:
     def test_below_the_crossover_products_loop_over_pairs(self, monkeypatch):

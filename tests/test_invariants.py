@@ -249,7 +249,7 @@ class TestColoredJones:
 
 class TestAdo:
     def test_p1_is_one(self):
-        for K in FIVE + (torus_two_strand(2),):
+        for K in FIVE_AND_MIRRORS + (torus_two_strand(2), mirror(torus_two_strand(2))):
             assert ado(K, 1).poly == 1
 
     def test_trefoil_p2(self):
@@ -272,8 +272,10 @@ class TestAdo:
             assert a.substitute("x", new_var="x", exp2=-2) == a
 
     def test_mirror_is_galois(self):
+        # zeta -> 1/zeta, written as zeta -> zeta**(p-1), and the identity at p = 1, 2
         for K in (K21, torus_two_strand(2)):
-            assert ado(mirror(K), 3).poly == ado(K, 3).poly.galois(2)
+            for p in (1, 2, 3, 5):
+                assert ado(mirror(K), p).poly == ado(K, p).poly.galois(max(1, p - 1)), p
 
     def test_sigma_expansion_definition(self):
         for K, p in KERNEL_GRID:
