@@ -22,7 +22,7 @@ cyclotomic residues fully reduced.
 
 Kernels.  Each cyclotomic order m keeps one table, _reduction_rows, of the
 nonzero coordinates of each residue of zeta**e, e >= phi(m): _reduce (the
-one reduction modulo Phi_m), zeta and the units' reverse index read it.
+one reduction modulo Phi_m) and the units' reverse index read it.
 A product of two polynomials takes one of three shapes:
 
 - A one-term factor (or a scalar) is an exponent shift and a scalar
@@ -49,7 +49,8 @@ A product of two polynomials takes one of three shapes:
 
 A product by a unit +-zeta**k (times_zeta, a power of or a division by the
 unit, a polynomial times it) is one rotation and reduction, _unit_times.
-Such units are found through a memoized reverse index of the table's rows.
+Such units are found by one lookup in a memoized reverse index of the
+table's rows and their negations; zeta**k itself is 1 times the unit.
 Every other power, of either type, is the one square-and-multiply loop
 _power over the bits of n from the top: w**1 takes no product and w**4 two.
 Every other division, of either type, is made integral first: a non-integer
@@ -169,13 +170,15 @@ def _convolve_into(acc: list[int], a: list[tuple[int, int]], b: list[tuple[int, 
 
 
 @functools.lru_cache(maxsize=None)
-def _power_index(m: int) -> dict[tuple[tuple[int, int], ...], int]:
-    """Reverse index of the residues of zeta_m**e, e < m, keyed by their
-    nonzero (i, c): ((e, 1),) below phi(m), the reduction row above.  Look up
-    -u as well to recognize -zeta**e, which for odd m is no power of zeta."""
+def _power_index(m: int) -> dict[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """Reverse index of the units sign * zeta_m**e, e < m, to (e, sign), keyed
+    by the nonzero (i, c) of their residues: ((e, 1),) below phi(m), the
+    reduction row above, and each negated.  For even m, -zeta**e is
+    zeta**(e + m/2), and the positive entry is kept."""
     phi = euler_phi(m)
-    index = {((e, 1),): e for e in range(phi)}
-    index.update(zip(_reduction_rows(m)[: m - phi], range(phi, m)))
+    rows = [((e, 1),) for e in range(phi)] + list(_reduction_rows(m)[: m - phi])
+    index = {tuple([(i, -c) for i, c in row]): (e, -1) for e, row in enumerate(rows)}
+    index.update((row, (e, 1)) for e, row in enumerate(rows))
     return index
 
 
@@ -421,12 +424,7 @@ class CycNumber(Frozen):
     @staticmethod
     def _unit_exponent(u: "CycNumber") -> Optional[tuple[int, int]]:
         """(k, sign) with u == sign * zeta**k, or None when u is no such unit."""
-        index, key = _power_index(u.order), tuple(_nonzero(u.coeffs))
-        k = index.get(key)
-        if k is not None:
-            return k, 1
-        k = index.get(tuple([(i, -c) for i, c in key]))
-        return None if k is None else (k, -1)
+        return _power_index(u.order).get(tuple(_nonzero(u.coeffs)))
 
     def inverse(self) -> "CycNumber":
         return CycNumber.from_int(self.order, 1).exact_div(self)
@@ -546,13 +544,8 @@ def _cyc(order: int, coeffs: tuple[int, ...]) -> CycNumber:
 
 
 def zeta(order: int, k: int = 1) -> CycNumber:
-    """zeta_order**k, the standard primitive root when k = 1: a basis vector
-    below phi(order), a row of the reduction table above."""
-    k, phi = k % order, euler_phi(order)
-    coeffs = [0] * phi
-    for i, c in _reduction_rows(order)[k - phi] if k >= phi else ((k, 1),):
-        coeffs[i] = c
-    return _cyc(order, tuple(coeffs))
+    """zeta_order**k, the standard primitive root when k = 1."""
+    return _unit_times(1, order, k, 1)
 
 
 Coeff = Union[int, CycNumber]
@@ -1204,11 +1197,12 @@ class LaurentPoly(Frozen):
         """Full evaluation; every variable exponent must be an integer.
 
         Negative exponents require the value to be a unit (an int +-1 or an
-        invertible cyclotomic number such as a root of unity).
+        invertible cyclotomic number such as a root of unity).  The zero
+        polynomial evaluates to the zero of its coefficient ring.
         """
         if set(values) != set(self.variables):
             raise ValueError(f"need values for exactly {self.variables}")
-        acc: Coeff = 0
+        acc: Coeff = 0 if self.order is None else CycNumber.zero(self.order)
         for exps, c in self.terms:
             term: Coeff = c
             for i, v in enumerate(self.variables):

@@ -309,17 +309,21 @@ class CgpResult(Frozen):
         lambda), so admissible values come from higher-order roots, e.g.
         zeta_6p for lambda = 1/3.  The specialized invariant need not be an
         algebraic integer; InexactDivisionError is raised when it is not, and
-        the numerator/denominator can then be inspected directly.
+        the numerator/denominator can then be inspected directly.  The extra
+        tag factor 1 + u^-2p divides the direct torus numerator (the
+        torus-cgp-cross-route identity), so it is divided out before u is
+        specialized, and a u with u^2p = -1 is no pole.
         """
         order = math.lcm(2 * self.p, u_value.order)
         u = u_value.embed(order)
-        num = self.numerator.with_order(order).evaluate({"u": u})
+        num = self.numerator
+        if self.denominator_extra_tag is not None:
+            num = exact_div(num, LaurentPoly.univar("u", {0: 1, -4 * self.p: 1}))
+        num = num.with_order(order).evaluate({"u": u})
         d = u**self.p - u ** (-self.p)
         den = d * d
         if self.numerator_prefactor_tag is not None:
             num = num * u ** (2 * (self.p - 1) * _torus_t(self.knot))
-        if self.denominator_extra_tag is not None:
-            den = den * (1 + u ** (-2 * self.p))
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes at this u (lambda = 0 or 1 mod 2)")
         return num.exact_div(den)

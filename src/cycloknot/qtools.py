@@ -12,10 +12,11 @@ Every memoized product extends its predecessor by one factor rather than
 multiplying from i = 1: qfactorial, qpochhammer, pochhammer_pair, sigma,
 sigma_at_root and the tuple sigma_at_color(N).  The integer tables among
 them are built on dense coefficient rows, whose supports are known:
-qfactorial as a window sum, qbinomial's Pascal cell as one slice add of its
-two predecessors' coefficients, and qpochhammer, pochhammer_pair, sigma and
+qfactorial as a window sum, and qpochhammer, pochhammer_pair, sigma and
 sigma_at_color by adding one shifted copy of the predecessor's rows per
-term of their 2- or 4-term factor (_extend).
+term of their 2- or 4-term factor (_extend).  qbinomial is no recursion:
+each [n; k] is read off one integer, its product form at q = 2^W, through
+exactring.nonnegative_digits, as the Habiro coefficients of knots are.
 
 The knot-free kernels of the invariants are memoized here, once for all
 knots, all in the sigma basis: for a double twist knot, ADO, WRT and the CGP
@@ -35,7 +36,7 @@ import operator
 from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
-from .exactring import Coeff, CycNumber, LaurentPoly, _dense_terms, zeta
+from .exactring import Coeff, CycNumber, LaurentPoly, _dense_terms, nonnegative_digits, zeta
 
 
 def _q(e2: int, c: int = 1) -> LaurentPoly:
@@ -126,25 +127,28 @@ def qfactorial(n: int) -> LaurentPoly:
 
 @functools.lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial [n; k]_q via the Pascal recursion; 0 outside 0<=k<=n."""
+    """Gaussian binomial [n; k]_q; 0 outside 0<=k<=n.
+
+    [n; k] = prod_{i<=b} (q^(n-b+i) - 1) / (q^i - 1), b = min(k, n-k), has
+    nonnegative coefficients summing to binomial(n, k), so its coefficients
+    are the digits of one integer at q = 2^W, read through nonnegative_digits.
+    The integer is built one factor at a time: after step i it is
+    [n-b+i; i] at q = 2^W, so each division is exact and by a small divisor.
+    """
     if n < 0:
         raise ValueError(f"q-binomial needs n >= 0, got {n}")
     if k < 0 or k > n:
         return LaurentPoly.zero(("q",))
-    if k == 0 or k == n:
-        return LaurentPoly.univar("q", {0: 1})
-    # every 8th row of the cells that the Pascal recursion reaches is filled
-    # first: a cold cell recurses through fewer than 8 rows, and its fill
-    # looks up n/8 rows rather than n (a cold qbinomial(100, 50): 0.48 s
-    # when every row is filled, 0.32 s)
-    _fill_below(qbinomial, n, lambda i: range(max(0, k - n + i), min(k, i) + 1), 8)
-    # [n-1; k-1] and [n-1; k] have coefficients at every exponent from 0 to
-    # their degrees (k-1)(n-k) and k(n-k-1), so [n-1; k-1] + q^k [n-1; k]
-    # is one slice add of their coefficient rows
-    a = list(map(operator.itemgetter(1), qbinomial(n - 1, k - 1).terms))
-    b = list(map(operator.itemgetter(1), qbinomial(n - 1, k).terms))
-    coeffs = a[:k] + list(map(operator.add, a[k:], b)) + b[len(a) - k :]
-    return LaurentPoly(("q",), _dense_terms(0, 2, coeffs), None)
+    b = min(k, n - k)
+
+    def value_at(w: int) -> int:
+        value = 1
+        for i in range(1, b + 1):
+            value = ((value << w * (n - b + i)) - value) // ((1 << w * i) - 1)
+        return value
+
+    digits = nonnegative_digits(value_at, math.comb(n, k))
+    return LaurentPoly(("q",), _dense_terms(0, 2, digits), None)
 
 
 def qbinomial_balanced(n: int, k: int) -> LaurentPoly:

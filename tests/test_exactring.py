@@ -374,6 +374,13 @@ class TestLaurentPoly:
         val = sigma1.evaluate({"x": zeta(3)})
         assert val == 0
 
+    def test_zero_evaluates_to_the_zero_of_its_ring(self):
+        for value in (zeta(30), zeta(30, 7)):
+            got = LaurentPoly.zero(("u",), 30).evaluate({"u": value})
+            assert isinstance(got, CycNumber) and got.order == 30 and got.is_zero()
+            assert got.exact_div(value) == 0
+        assert LaurentPoly.zero(("q",)).evaluate({"q": 2}) == 0
+
     def test_substitute_round_trip_identity(self):
         f = LaurentPoly.make(("x", "q"), {(2, 4): 3, (-2, 0): -1, (0, -2): 2})
         assert f.substitute("x", new_var="x", exp2=2) == f

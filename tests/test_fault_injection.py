@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from cycloknot import cli, invariants, verify
-from cycloknot.exactring import zeta
+from cycloknot import cli, invariants, parse_knot, verify
+from cycloknot.exactring import CycNumber, InexactDivisionError, LaurentPoly, zeta
 from cycloknot.qtools import _q
 
 
@@ -78,3 +78,49 @@ def test_one_horner_loop_serves_both_torus_sums(monkeypatch):
     for name in ("thm4-vs-conj", "jones-consistency"):
         reports = verify.run_suite(name, quick=True)
         assert any(not r.passed and not r.params.get("exploratory") for r in reports), name
+
+
+def _failed(reports, identity):
+    return [r for r in reports if r.identity == identity and not r.passed]
+
+
+def test_mixed_residues_fail_the_T_claim(monkeypatch):
+    # a stray u^1 leaves the residue class of the direct numerator
+    direct = invariants.cgp_torus_direct
+
+    def stray(t, p):
+        res = direct(t, p)
+        numerator = res.numerator + LaurentPoly.univar("u", {2: 1}, 2 * p)
+        return invariants.CgpResult(res.knot, p, numerator)
+
+    monkeypatch.setattr(invariants, "cgp_torus_direct", stray)
+    reports = _failed(verify.run_suite("torus-T", quick=True), "torus-T")
+    assert reports and all(1 in r.params["mixed_exponents"] for r in reports)
+    assert all(r.lhs is not None and r.rhs is None for r in reports)
+
+
+def test_inexact_normalization_keeps_the_value(monkeypatch, capsys):
+    # 7 divides no WRT value of dt:-1,1 at p = 3 (-6)
+    monkeypatch.setattr(invariants, "brace_one_squared", lambda p: CycNumber.from_int(2 * p, 7))
+    value = invariants.wrt_zero(parse_knot("dt:-1,1"), 3)
+    assert invariants.normalized_wrt(value, 3) == (value, 7)
+    assert cli.run(["wrt", "--knot", "dt:-1,1", "--p", "3", "--normalized"]) == 0
+    assert "{1}^2 = 7 (does not divide; value left unnormalized)" in capsys.readouterr().out
+
+
+def test_inexact_conjectural_ado_is_reported(monkeypatch):
+    def inexact(*args):
+        raise InexactDivisionError("forced remainder")
+
+    monkeypatch.setattr(verify, "ado_conjectural", inexact)
+    reports = _failed(verify.run_suite("thm4-vs-conj", quick=True), "thm4-vs-conj")
+    assert reports and all(r.params["error"] == "forced remainder" for r in reports)
+
+
+def test_a_bracket_that_is_not_monic_fails(monkeypatch):
+    def not_monic(m, p):
+        raise ArithmeticError("forced")
+
+    monkeypatch.setattr(verify, "bracket_poly", not_monic)
+    reports = _failed(verify.run_suite("qtools-identities", quick=True), "bracket-monic")
+    assert reports and all(set(r.params) == {"p"} for r in reports)

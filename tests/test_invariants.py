@@ -488,6 +488,29 @@ class TestTorusSurgeries:
             rhs = res.numerator * up({2 * (p - 1) * t: 1}, 2 * p)
             assert lhs == rhs
 
+    def test_value_at_of_a_zero_numerator(self):
+        # the from-ado numerator of T(2,5) vanishes at p = 5
+        res = cgp_from_ado(torus_two_strand(2), 5)
+        assert res.numerator.is_zero()
+        assert res.value_at(zeta(30)) == 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_value_at_agrees_across_routes(self, t, p):
+        # the direct form divides by its tag 1 + u^-2p, which vanishes at
+        # u = zeta_4p (u^2p = -1) and divides the direct numerator, so both
+        # routes give one value there too, or both are inexact
+        direct, from_ado = cgp_torus_direct(t, p), cgp_from_ado(torus_two_strand(t), p)
+        units = (zeta(4 * p), zeta(6 * p), zeta(6 * p, 5), zeta(8 * p), zeta(10 * p, 3), zeta(12 * p, 5))
+        for u in units:
+            values = []
+            for res in (direct, from_ado):
+                try:
+                    values.append(res.value_at(u))
+                except InexactDivisionError:
+                    values.append(None)
+            assert values[0] == values[1], u
+
     def test_t_claim(self):
         for t, p in [(1, 3), (2, 3), (1, 5), (2, 5)]:
             report = verify_T_claim(t, p)

@@ -231,8 +231,9 @@ def test_mirror_torus_at_root_is_the_oracle_at_the_root(p):
 
 @pytest.mark.parametrize("width", [0, 1, 7])
 def test_shift_add_qbinomials_are_the_qbinomials_at_a_power_of_two(width):
-    # the q-Pascal table read at q = 2^width: row b holds [a; b] at a - b;
-    # width 0 gives the ordinary binomials
+    # the q-Pascal shift-add table read at q = 2^width, against qbinomial's
+    # product-form quotient, a second construction: row b holds [a; b] at
+    # a - b; width 0 gives the ordinary binomials
     rows = list(knots._qbinomial_rows(width, [40] * 41))
     for a in range(41):
         for b in range(a + 1):

@@ -83,11 +83,17 @@ class TestQBinomial:
         assert table[(4, 2)] == qp({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
         assert qbinomial(4, 2) == table[(4, 2)]
 
-    def test_pascal_equals_division_route(self):
-        # the dense Pascal build against the division oracle
+    def test_product_form_equals_division_route(self):
+        # the integer quotient at q = 2^W against the division oracle
         for n in range(31):
             for k in range(-1, n + 2):
                 assert qbinomial(n, k) == qbinomial_by_division(n, k)
+
+    def test_wide_digits_keep_the_pascal_rule(self):
+        # the cells of [80; 40] are read from digits of 76 and 77 bits, past
+        # the 64 that convert in C
+        for k in (39, 40, 41):
+            assert qbinomial(80, k) == qbinomial(79, k - 1) + qp({k: 1}) * qbinomial(79, k)
 
     def test_specializes_to_binomial_at_1(self):
         for n in range(8):
@@ -294,18 +300,19 @@ class TestColdCacheDepth:
             assert got[name] == oracle(20), name
 
 
-    def test_qbinomials_fill_every_8th_row(self):
-        # A cold [150; 5] recurses through fewer than 8 rows above the filled
-        # ones, one frame a row; a recursion one row at a time down from
-        # n = 150 would need about 150.
+    def test_qbinomial_does_not_recurse(self):
+        # A cold [150; 5] is one integer quotient read off its digits: it
+        # needs a few frames, and no other cell is computed or kept; the
+        # Pascal recursion down from n = 150 would need about 150 frames.
         depth = _stack_depth()
         cycloknot.clear_caches()
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
+        sys.setrecursionlimit(depth + 20)
         try:
             got = qbinomial(150, 5)
         finally:
             sys.setrecursionlimit(limit)
+        assert qbinomial.cache_info().currsize == 1
         assert got.evaluate({"q": 1}) == math.comb(150, 5)
         gauss = math.prod(2 ** (150 - i) - 1 for i in range(5)) // math.prod(2 ** (i + 1) - 1 for i in range(5))
         assert got.evaluate({"q": 2}) == gauss
