@@ -544,8 +544,13 @@ def _cyc(order: int, coeffs: tuple[int, ...]) -> CycNumber:
 
 
 def zeta(order: int, k: int = 1) -> CycNumber:
-    """zeta_order**k, the standard primitive root when k = 1."""
-    return _unit_times(1, order, k, 1)
+    """zeta_order**k, the standard primitive root when k = 1: a basis vector
+    below phi(order), else one row of the reduction table."""
+    phi, k = euler_phi(order), k % order
+    coeffs = [0] * phi
+    for i, c in ((k, 1),) if k < phi else _reduction_rows(order)[k - phi]:
+        coeffs[i] = c
+    return _cyc(order, tuple(coeffs))
 
 
 Coeff = Union[int, CycNumber]

@@ -21,7 +21,7 @@ This module holds no cache.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .exactring import (
     CycNumber,
@@ -426,59 +426,50 @@ def verify_thm3(knot: KnotSpec, p: int, exploratory: bool = False) -> InvariantR
 # ---------------------------------------------------------------------------
 
 
-def wrt_torus_direct(t: int, p: int) -> CycNumber:
-    """WRT of the 0-surgery on T(2,2t+1) by the Laplace-transformed double sum
-
-    (1/2) sum_{k<p} (-1)^k e_p^((2t+1)k^2/2 + (2t-1)k/2 - (2t+1)k)
-          sum_{n<p} e_p^(-2n(t+(2t+1)k)) (e_p^(2n+1) - 1)(1 - e_p^(2k-4n-1)),
-
-    with the half powers of e_p realized in Z[zeta_2p].  Each (k, n) term is
-    expanded into its four signed powers of zeta_2p, and the exponents of all
-    terms are accumulated and reduced once."""
-    _require_odd(p)
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    powers: list[tuple[int, int]] = []
-    for k in range(p):
-        sign = -1 if k % 2 else 1
-        pref = (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k
-        for n in range(p):
-            a = pref - 4 * n * (t + (2 * t + 1) * k)
-            b = 2 * (2 * n + 1)
-            c = 2 * (2 * k - 4 * n - 1)
-            # zeta^a (zeta^b - 1)(1 - zeta^c)
-            powers += ((a + b, sign), (a + b + c, -sign), (a, -sign), (a + c, sign))
-    return CycNumber.from_powers(2 * p, powers).exact_div(2)
-
-
-def cgp_torus_direct(t: int, p: int) -> CgpResult:
-    """CGP numerator DoubleSum(u) for the 0-surgery on T(2,2t+1):
+def _torus_double_sum(t: int, p: int) -> Iterator[tuple[int, int, int]]:
+    """The signed monomials (e, z, sign), meaning sign zeta_2p^z u^(e/2), of the
+    Laplace-transformed double sum DoubleSum(u) for the 0-surgery on T(2,2t+1):
 
     sum_{k<p} (-1)^k e_p^((2t+1)k^2/2 + (2t-1)k/2 - (lambda+1)(2t+1)k)
       sum_{n<p} e_p^(-2n(k(2t+1)+t)) (e_p^(lambda+2n+1) - 1)(1 - e_p^(2k-1-2lambda-4n)),
 
-    kept symbolic in u = e_{2p}^lambda.  Each (k, n) term is expanded into
-    four signed monomials zeta_2p^z u^e; the zeta-exponents are accumulated
-    per u-exponent and each coefficient is reduced once.  The tagged
-    normalization is u^(2(p-1)t) / ((u^p - u^-p)^2 (1 + u^-2p)); DoubleSum(1)
-    equals twice wrt_torus_direct(t, p)."""
+    with u = e_2p^lambda and the half powers of e_p realized in Z[zeta_2p].
+    Each (k, n) term is expanded into its four monomials
+    zeta^a u^(s/2) (zeta^b u^2 - 1)(1 - zeta^c u^-4); e is a doubled u-exponent.
+    The WRT invariant is half the sum at u = 1 (lambda = 0)."""
     _require_odd(p)
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    by_u: dict[int, list[tuple[int, int]]] = {}
     for k in range(p):
         sign = -1 if k % 2 else 1
         pref = (2 * t + 1) * k * k + (2 * t - 1) * k - 2 * (2 * t + 1) * k
-        shift = -4 * (2 * t + 1) * k
+        s = -4 * (2 * t + 1) * k
         for n in range(p):
             a = pref - 4 * n * (k * (2 * t + 1) + t)
             b = 2 * (2 * n + 1)
             c = 2 * (2 * k - 1 - 4 * n)
-            # zeta^a u^(shift/2) (zeta^b u^2 - 1)(1 - zeta^c u^-4); e is a doubled u-exponent
-            for e, z, s in (
-                (4, a + b, sign), (-4, a + b + c, -sign), (0, a, -sign), (-8, a + c, sign)
-            ):
-                by_u.setdefault(shift + e, []).append((z, s))
+            yield s + 4, a + b, sign
+            yield s - 4, a + b + c, -sign
+            yield s, a, -sign
+            yield s - 8, a + c, sign
+
+
+def wrt_torus_direct(t: int, p: int) -> CycNumber:
+    """WRT of the 0-surgery on T(2,2t+1): half the double sum of
+    _torus_double_sum at u = 1, its zeta-exponents accumulated and reduced once."""
+    powers = [(z, sign) for _, z, sign in _torus_double_sum(t, p)]
+    return CycNumber.from_powers(2 * p, powers).exact_div(2)
+
+
+def cgp_torus_direct(t: int, p: int) -> CgpResult:
+    """CGP numerator DoubleSum(u) for the 0-surgery on T(2,2t+1), the sum of
+    _torus_double_sum kept symbolic in u = e_2p^lambda: its zeta-exponents are
+    accumulated per u-exponent and each coefficient is reduced once.  The
+    tagged normalization is u^(2(p-1)t) / ((u^p - u^-p)^2 (1 + u^-2p));
+    DoubleSum(1) equals twice wrt_torus_direct(t, p)."""
+    by_u: dict[int, list[tuple[int, int]]] = {}
+    for e, z, sign in _torus_double_sum(t, p):
+        by_u.setdefault(e, []).append((z, sign))
     total = LaurentPoly.univar(
         "u", {e: CycNumber.from_powers(2 * p, pairs) for e, pairs in by_u.items()}, 2 * p
     )
@@ -543,7 +534,8 @@ def verify_T_claim(t: int, p: int) -> InvariantReport:
     holds for the lambda-normalized numerator u^(2(p-1)t) * DoubleSum(u):
     that polynomial is extracted as g(T), T = u^2p, with residue asserted 0
     and g(1) asserted equal to 2 wrt_torus_direct(t, p).  The bare residue is
-    recorded in the report parameters.
+    recorded in the report parameters; a DoubleSum(1) that 2 does not divide
+    fails with the division error in them.
     """
     result = cgp_torus_direct(t, p)
     params = {"t": t, "p": p}
@@ -551,12 +543,14 @@ def verify_T_claim(t: int, p: int) -> InvariantReport:
         bare_r, _ = extract_T(result.numerator, p)
         normalized = result.numerator * LaurentPoly.univar("u", {4 * (p - 1) * t: 1})
         r, g = extract_T(normalized, p)
+        expected = wrt_torus_direct(t, p) * 2
     except MixedResidueError as exc:
         return InvariantReport(
             "torus-T", {**params, "mixed_exponents": list(exc.exponents)}, False,
             result.numerator, None,
         )
-    expected = wrt_torus_direct(t, p) * 2
+    except InexactDivisionError as exc:
+        return InvariantReport("torus-T", {**params, "error": str(exc)}, False, result.numerator)
     value = g.evaluate({"T": 1})
     passed = r == 0 and value == expected
     return _report(

@@ -244,11 +244,12 @@ def _twist_link(i: int, n: int, k: int, prefix: int) -> tuple[int, int, int, int
 def _chain_column(link: Callable, p: int, length: int, n: int) -> dict[int, CycNumber]:
     """{P: C(length, n, P)} at q = e_p, one element of Z[zeta_p] per prefix P.
 
-    C(length, n, P) is the sum over the chains k_1 <= ... <= k_length = n,
-    with k_1 >= 1 for _torus_link and k_1 >= 0 for _twist_link, whose links
-    lead to the prefix P, of the products of the weights q^e [top; low] that
-    link(i, k_i, k_(i-1), prefix) gives as (top, low, e, after), with the
-    q-binomials taken at the root (their zeros skipped); C(1, n, 0) = 1.
+    C(length, n, P) is the sum over the chains 0 <= k_1 <= ... <= k_length = n
+    whose links lead to the prefix P, of the products of the weights
+    q^e [top; low] that link(i, k_i, k_(i-1), prefix) gives as
+    (top, low, e, after), with the q-binomials taken at the root (their zeros
+    skipped); C(1, n, 0) = 1.  A torus chain with k_1 = 0 weighs 0, as its
+    first link's [k_2 - 1; k_2] does.
     Each prefix's terms are added into one vector of the p powers of zeta_p
     and reduced once.  A column does not depend on any bound on the chain,
     so every top n, and every knot of a shape, shares it; a negative twist
@@ -256,13 +257,12 @@ def _chain_column(link: Callable, p: int, length: int, n: int) -> dict[int, CycN
     """
     if length == 1:
         return {0: CycNumber.from_int(p, 1)}
-    low = 1 if link is _torus_link else 0
     # Every 64th level is filled, so a cold column recurses through fewer
     # than 64 levels, and the fill that each new column starts with costs
     # length/64 lookups per key rather than length.
-    _fill_below(functools.partial(_chain_column, link, p), length, lambda i: range(low, n + 1), 64)
+    _fill_below(functools.partial(_chain_column, link, p), length, lambda i: range(n + 1), 64)
     parts: dict[int, list[int]] = {}
-    for k in range(low, n + 1):
+    for k in range(n + 1):
         for prefix, value in _chain_column(link, p, length - 1, k).items():
             b_top, b_low, e, after = link(length, n, k, prefix)
             if binom := qbinomial_at_root(b_top, b_low, p):

@@ -6,14 +6,21 @@ cycloknot.invariants namespaces are patched.  Memos live only in qtools and
 knots (the q-recursions, the Habiro coefficients and the knot-free kernels
 of the invariants), and those call their own module's names, so no cache
 keeps a poisoned value: once the patch is undone, the same suite passes in
-the same process with its caches as the mutated run left them.
+the same process with its caches as the mutated run left them.  The one
+exception is knots._torus_link, the link weight that both torus Habiro
+routes share: the knots memos would keep the values it corrupts, so its test
+clears every cache before the patch and after it.
+
+A helper that two sides of an identity share cannot fail that identity, so
+the shared-helper tests pin the exact set of identities that catch each
+shared fault (README, "Which identity guards a shared helper").
 """
 
 from __future__ import annotations
 
 import pytest
 
-from cycloknot import cli, invariants, parse_knot, verify
+from cycloknot import cli, clear_caches, invariants, knots, parse_knot, verify
 from cycloknot.exactring import CycNumber, InexactDivisionError, LaurentPoly, zeta
 from cycloknot.qtools import _q
 
@@ -70,14 +77,85 @@ def test_mutation_is_caught(name, monkeypatch, capsys):
     assert reports and all(r.passed or r.params.get("exploratory") for r in reports)
 
 
+def _failing_identities() -> set[str]:
+    """The identities that report a counted FAIL on the quick grids of every suite."""
+    return {
+        r.identity
+        for name in verify.SUITES
+        for r in verify.run_suite(name, quick=True)
+        if not r.passed and not r.params.get("exploratory")
+    }
+
+
+def _torus_monomials(mutate):
+    """invariants._torus_double_sum with mutate(i, e, z, sign) applied to its i-th monomial."""
+    double_sum = invariants._torus_double_sum
+    return lambda t, p: (mutate(i, *m) for i, m in enumerate(double_sum(t, p)))
+
+
 def test_one_horner_loop_serves_both_torus_sums(monkeypatch):
-    # the torus ADO and the hyper-Jones sum share invariants._horner, and
-    # each suite compares one of them with an independent route
-    # (ado_conjectural, colored_jones from habiro_a)
+    # the torus ADO and the hyper-Jones sum share invariants._horner, and the
+    # identities that compare one of them with an independent route
+    # (ado_conjectural, colored_jones from habiro_a, the Alexander
+    # polynomial, the torus recurrence, the direct torus double sum) catch it
     monkeypatch.setattr(invariants, "_horner", _negated(invariants._horner))
-    for name in ("thm4-vs-conj", "jones-consistency"):
-        reports = verify.run_suite(name, quick=True)
-        assert any(not r.passed and not r.params.get("exploratory") for r in reports), name
+    assert _failing_identities() == {
+        "thm4-vs-conj",
+        "ado-p2-alexander",
+        "jones-habiro-vs-hyper",
+        "jones-recurrence",
+        "torus-wrt-definition",
+        "torus-cgp-cross-route",
+    }
+
+
+def test_one_double_sum_serves_both_torus_zero_surgeries(monkeypatch):
+    # wrt_torus_direct and cgp_torus_direct read one generator, so the u = 1
+    # check compares the sum with itself and passes; the T-claim, the
+    # hyper-Jones odd-point sum and the ADO route catch the four monomials of
+    # the (k, n) = (0, 0) term negated
+    negated = _torus_monomials(lambda i, e, z, sign: (e, z, -sign if i < 4 else sign))
+    monkeypatch.setattr(invariants, "_torus_double_sum", negated)
+    assert _failing_identities() == {"torus-T", "torus-wrt-definition", "torus-cgp-cross-route"}
+
+
+def test_a_wrong_torus_link_fails_the_routes_that_do_not_share_it(monkeypatch):
+    # the generic and at-root torus Habiro routes both read knots._torus_link,
+    # so thm1, thm2 and their route comparison agree on a wrong link; the
+    # identities that reach a torus knot another way (the hyper-Jones sum,
+    # the closed forms of the appendix) catch a link weight off by q
+    link = knots._torus_link
+
+    def shifted(*args):
+        top, low, e, after = link(*args)
+        return top, low, e + 1, after
+
+    clear_caches()
+    monkeypatch.setattr(knots, "_torus_link", shifted)
+    try:
+        failing = _failing_identities()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert failing == {
+        "jones-habiro-vs-hyper",
+        "appendix-a_p-dual-route",
+        "appendix-closed-vs-direct",
+        "appendix-specializations",
+    }
+
+
+def test_an_odd_double_sum_is_reported(monkeypatch, capsys):
+    # one monomial off by a power of zeta leaves DoubleSum(1) with no half:
+    # the checks that read the WRT fail with the division error, no traceback
+    odd = _torus_monomials(lambda i, e, z, sign: (e, z + (i == 0), sign))
+    monkeypatch.setattr(invariants, "_torus_double_sum", odd)
+    reports = verify.run_suite("torus-T", quick=True)
+    errors = {r.identity for r in reports if "not divisible by 2" in r.params.get("error", "")}
+    assert errors == {"torus-T", "torus-doublesum-at-1", "torus-wrt-definition"}
+    assert all(not r.passed for r in reports if r.identity in errors)
+    assert cli.run(["verify", "--suite", "torus-T", "--quick"]) == 1
+    assert "FAIL" in capsys.readouterr().err
 
 
 def _failed(reports, identity):
